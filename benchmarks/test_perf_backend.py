@@ -1,30 +1,28 @@
-"""Perf gate for the backend dispatch seam + per-backend timing trajectory.
+"""Perf gate for the backend dispatch seam.
 
-The backend refactor routed every kernel call in ``repro.nn`` through
-``repro.nn.backends.get_backend()``.  Dispatch is a dict lookup per realized
-kernel — it must be noise, not a tax.  The gate times a matmul+elementwise
-chain through the Tensor layer against a raw-numpy transcription of the
-exact same op sequence and requires the dispatched path to stay within 10%
-(speedup floor 0.9x; ``REPRO_PERF_RELAX=1`` relaxes it on noisy machines).
+Every kernel call in ``repro.nn`` goes through
+``repro.nn.backends.get_backend()``.  Dispatch is one attribute lookup per
+realized kernel — it must be noise, not a tax.  The gate times a
+matmul+elementwise chain through the Tensor layer against a raw-numpy
+transcription of the exact same op sequence and requires the dispatched
+path to stay within 10% (speedup floor 0.9x; ``REPRO_PERF_RELAX=1`` relaxes
+it on noisy machines).
 
-Every *available* backend records a ``BENCH_backend.json`` entry, so when
-the CI ``backend`` job runs with torch installed the trajectory file picks
-up a torch row; the torch leg is tolerance-checked, not gated — it bridges
-numpy<->torch at every kernel boundary, which is a data-movement cost this
-workload is too small to amortize.
+Dispatched and raw runs are timed in interleaved rounds and compared via the
+median per-round ratio, so machine-load drift hits both paths equally
+instead of landing on one side only.
 """
 
+import time
+
 import numpy as np
-import pytest
 
 from repro import nn
-from repro.nn import backends, lazy
-from repro.nn.backends import available_backends, backend_mode
 
-from _harness import best_of, record, record_bench_entry, run_once
+from _harness import record, record_bench_entry, run_once
 
 N, D_IN, D_HID, D_OUT = 512, 1024, 1024, 512
-REPEATS = 5
+ROUNDS = 5
 
 
 def _make_inputs(rng):
@@ -48,51 +46,43 @@ def _raw_numpy(x, w1, w2) -> np.ndarray:
     return out.sum(axis=1)
 
 
+def _time(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
 def test_perf_backend_dispatch_overhead(benchmark, speedup_gate):
     rng = np.random.default_rng(0)
     x, w1, w2 = _make_inputs(rng)
 
-    with backend_mode("numpy"):
-        got = run_once(benchmark, _dispatched, x, w1, w2)
-        # the seam is bit-exact before it is fast
-        np.testing.assert_array_equal(got, _raw_numpy(x, w1, w2))
+    got = run_once(benchmark, _dispatched, x, w1, w2)
+    # the seam is bit-exact before it is fast
+    np.testing.assert_array_equal(got, _raw_numpy(x, w1, w2))
 
-        t_dispatched = best_of(lambda: _dispatched(x, w1, w2), REPEATS)
-    t_raw = best_of(lambda: _raw_numpy(x, w1, w2), REPEATS)
-    ratio = t_raw / t_dispatched
+    # interleaved wall-clock rounds; the median ratio damps load drift
+    dispatched_times, raw_times = [], []
+    for _ in range(ROUNDS):
+        dispatched_times.append(_time(lambda: _dispatched(x, w1, w2)))
+        raw_times.append(_time(lambda: _raw_numpy(x, w1, w2)))
+    ratio = float(np.median([raw / disp for raw, disp
+                             in zip(raw_times, dispatched_times)]))
+    t_dispatched = float(np.median(dispatched_times))
+    t_raw = float(np.median(raw_times))
 
     record(benchmark, backend="numpy", t_dispatched_ms=t_dispatched * 1e3,
            t_raw_ms=t_raw * 1e3, raw_over_dispatched=ratio)
+
+    # gate first: the trajectory file must only hold gate-passing numbers
+    speedup_gate(ratio, 0.9, "backend dispatch should be noise vs raw numpy")
     record_bench_entry("backend", "numpy", {
         "workload": f"({N}x{D_IN})@({D_IN}x{D_HID}) relu matmul tanh chain",
         "t_dispatched_ms": round(t_dispatched * 1e3, 3),
         "t_raw_numpy_ms": round(t_raw * 1e3, 3),
         "raw_over_dispatched": round(ratio, 3),
+        # median of per-round ratios (interleaved rounds), NOT the quotient of
+        # the median times above — the two can differ slightly under load
+        "speedup_definition": "median_of_interleaved_round_ratios",
+        "rounds": ROUNDS,
         "gate": "dispatched within 10% of raw numpy (>= 0.9x)",
-    })
-    speedup_gate(ratio, 0.9, "backend dispatch should be noise vs raw numpy")
-
-
-@pytest.mark.parametrize("name", [n for n in backends.backend_names()
-                                  if n != "numpy"])
-def test_perf_backend_accelerated(benchmark, name):
-    reason = available_backends()[name]
-    if reason is not None:
-        pytest.skip(f"backend {name!r} unavailable: {reason}")
-    rng = np.random.default_rng(0)
-    x, w1, w2 = _make_inputs(rng)
-
-    with backend_mode("numpy"):
-        reference = _dispatched(x, w1, w2)
-    with backend_mode(name):
-        got = run_once(benchmark, _dispatched, x, w1, w2)
-        np.testing.assert_allclose(got, reference, rtol=1e-6, atol=1e-8)
-        t_backend = best_of(lambda: _dispatched(x, w1, w2), REPEATS)
-        assert lazy.graph_stats()["backend"] == name
-
-    record(benchmark, backend=name, t_dispatched_ms=t_backend * 1e3)
-    record_bench_entry("backend", name, {
-        "workload": f"({N}x{D_IN})@({D_IN}x{D_HID}) relu matmul tanh chain",
-        "t_dispatched_ms": round(t_backend * 1e3, 3),
-        "gate": "allclose vs numpy reference (timing recorded, not gated)",
     })

@@ -496,7 +496,7 @@ class AsyncBlockingCallRule(LintRule):
 #: cumsum) and their common aliases.  Deliberately *not* listed: allocation
 #: (np.empty/zeros), movement (np.transpose/reshape/flip), indexing helpers
 #: (np.unravel_index, np.add.at) and dtype machinery — those have no backend
-#: route and stay plain numpy even on accelerated backends.
+#: route and stay plain numpy under any substituted backend.
 _BACKEND_KERNELS = frozenset({
     # linear algebra / scans
     "matmul", "einsum", "dot", "tensordot", "cumsum",
@@ -524,12 +524,12 @@ class BackendBypassRule(LintRule):
 
     ``repro.nn`` dispatches every compute kernel — the elementwise table,
     matmul, im2col/pooling windowing, reductions, cumsum — through
-    ``repro.nn.backends.get_backend()`` so an accelerated backend swaps the
-    whole stack at one seam.  A direct ``np.exp(...)``/``np.matmul(...)``/
-    ``np.lib.stride_tricks.as_strided(...)`` call inside ``repro/nn`` silently
-    pins that op to numpy: it still *works* on the reference backend, which is
-    exactly why only a static rule catches it before an accelerated run
-    produces mixed-backend numerics.  The kernel implementations under
+    ``repro.nn.backends.get_backend()`` so a substituted backend (a counting
+    test double, the profiler's timing backend) sees every kernel.  A direct
+    ``np.exp(...)``/``np.matmul(...)``/``np.lib.stride_tricks.as_strided(...)``
+    call inside ``repro/nn`` silently skips the seam: the numbers stay right,
+    which is exactly why only a static rule catches it before a substituted
+    backend undercounts the kernels.  The kernel implementations under
     ``repro/nn/backends/`` are exempt (they *are* the dispatch target), as is
     everything outside ``repro/nn``; scalar math belongs to ``math.*`` and
     deliberate escapes take ``# repro: noqa[R008]``.
@@ -554,12 +554,12 @@ class BackendBypassRule(LintRule):
                     ctx, node,
                     f"np.{chain[1]}() is a compute kernel with a backend "
                     "route; dispatch through repro.nn.backends (get_backend() "
-                    "or lazy.compute_eager) so accelerated backends see the "
-                    "whole graph")
+                    "or lazy.compute_eager) so a substituted backend sees "
+                    "every kernel")
             elif (chain[-2:] == ("stride_tricks", "as_strided")
                   and chain[0] in _NUMPY_ALIASES) or chain == ("as_strided",):
                 yield self.finding(
                     ctx, node,
                     "as_strided windowing is kernel layout work; use the "
-                    "backend's im2col/pooling entry points so accelerated "
-                    "backends can run their own windowing")
+                    "backend's im2col/pooling entry points so a substituted "
+                    "backend sees every kernel")

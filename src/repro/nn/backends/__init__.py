@@ -1,85 +1,56 @@
-"""Pluggable compute backends behind :mod:`repro.nn`.
+"""The compute-kernel seam of :mod:`repro.nn`.
 
-The lazy engine (PR 7) shrank the realization surface of the whole tensor
-layer to a small kernel table: the elementwise ops in
-``repro.nn.lazy.ELEMENTWISE_OPS`` plus a handful of eager kernel entry points
-(matmul, im2col/col2im convolution, pooling windowing, reductions, cumsum).
-A :class:`Backend` implements exactly that surface; everything above it —
-autograd, broadcasting, dtype inference, the fusion scheduler, modules,
-experiments — is backend-independent and never changes when the backend does.
+The lazy engine shrank the realization surface of the whole tensor layer to
+a small kernel table: the elementwise ops in ``repro.nn.lazy.ELEMENTWISE_OPS``
+plus a handful of eager kernel entry points (matmul, im2col/col2im
+convolution, pooling windowing, reductions, cumsum).  A :class:`Backend`
+implements exactly that surface, and every kernel call in ``repro.nn``
+dispatches through :func:`get_backend`.
 
-Two backends ship:
-
-* ``numpy`` (default) — the pre-existing kernels, moved verbatim from
-  ``lazy.py`` / ``functional.py`` / ``tensor.py``.  Bit-identical to the
-  pre-backend code by construction.
-* ``torch`` — optional; kernels run as torch CPU tensors and results are
-  bridged back to numpy at the realize boundary.  Registered unconditionally
-  but only constructible when torch is importable
-  (:class:`BackendUnavailable` otherwise, carrying the reason so test suites
-  can skip instead of fail).
-
-Selection precedence: ``BaseExperimentConfig.backend`` (``--set backend=...``,
-applied in ``seed_all()``) > the ``REPRO_BACKEND`` environment variable >
-the ``numpy`` default.
+``numpy`` (:class:`NumpyBackend`) is the one built-in backend and the active
+one by default.  The seam exists so a test or a profiler can *substitute* a
+backend that sees every kernel: :func:`register_backend` a factory, then
+activate it for a scope with :func:`backend_mode`.  A substitute typically
+delegates each kernel to :class:`NumpyBackend` and wraps it (counting,
+timing), so results stay bit-identical to an unsubstituted run.
 
 Contracts every backend must honor:
 
 * ``elementwise`` maps every ``ELEMENTWISE_OPS`` key to a kernel with the
   scheduler signature ``(srcs, params, out=None) -> np.ndarray``.  When the
   fusion pass passes ``out=`` (a dead temporary), the kernel must write the
-  result into that buffer and return it.
-* Kernel entry points take and return **numpy** arrays.  Accelerated
-  backends convert at the boundary; dtype/shape semantics follow numpy.
+  result into that buffer and return it.  A backend missing a key is
+  rejected when :func:`backend_mode` activates it.
+* Kernel entry points take and return **numpy** arrays with numpy
+  dtype/shape semantics.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 import numpy as np
 
 __all__ = [
     "Backend",
-    "BackendUnavailable",
-    "DEFAULT_BACKEND",
-    "available_backends",
+    "NumpyBackend",
     "backend_mode",
-    "backend_names",
     "get_backend",
     "register_backend",
-    "reset_backend",
-    "set_backend",
 ]
-
-DEFAULT_BACKEND = "numpy"
-
-
-class BackendUnavailable(RuntimeError):
-    """A registered backend cannot be constructed in this environment.
-
-    Carries a human-readable ``reason`` (e.g. "torch is not installed") so
-    callers — the conformance suite in particular — can *skip* with that
-    reason instead of failing.
-    """
-
-    def __init__(self, name: str, reason: str) -> None:
-        super().__init__(f"backend {name!r} is unavailable: {reason}")
-        self.name = name
-        self.reason = reason
 
 
 class Backend:
     """The kernel surface of :mod:`repro.nn` (see the module docstring).
 
     Subclasses set :attr:`name`, fill :attr:`elementwise` with one kernel per
-    ``repro.nn.lazy.ELEMENTWISE_OPS`` key, and implement every method below.
-    All arguments and results are numpy arrays.
+    ``repro.nn.lazy.ELEMENTWISE_OPS`` key, and implement every method below
+    (usually by delegating to :class:`NumpyBackend`).  All arguments and
+    results are numpy arrays.
     """
 
-    #: registry id (``"numpy"``, ``"torch"``, ...)
+    #: registry id (``"numpy"``, or the name a substitute registers under)
     name: str = ""
 
     #: op id -> ``(srcs, params, out=None) -> np.ndarray`` kernel table; the
@@ -137,24 +108,11 @@ class Backend:
 
 # ------------------------------------------------------------------- registry
 _FACTORIES: Dict[str, Callable[[], Backend]] = {}
-_INSTANCES: Dict[str, Backend] = {}
-_ACTIVE: Optional[Backend] = None
 
 
 def register_backend(name: str, factory: Callable[[], Backend]) -> None:
-    """Register ``factory`` under ``name``.
-
-    Factories are lazy: an optional backend registers unconditionally and
-    defers its heavy import until first :func:`set_backend`/:func:`get_backend`
-    resolution, raising :class:`BackendUnavailable` from the factory when the
-    dependency is missing.
-    """
+    """Register ``factory`` under ``name``; :func:`backend_mode` calls it."""
     _FACTORIES[name] = factory
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Every registered backend name (available or not), sorted."""
-    return tuple(sorted(_FACTORIES))
 
 
 def _validate(backend: Backend) -> None:
@@ -167,82 +125,34 @@ def _validate(backend: Backend) -> None:
             f"backend {backend.name!r} is missing elementwise kernels: {missing}")
 
 
-def _instantiate(name: str) -> Backend:
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown backend {name!r}; registered backends: "
-            f"{', '.join(backend_names())}")
-    if name not in _INSTANCES:
-        backend = _FACTORIES[name]()  # may raise BackendUnavailable
-        _validate(backend)
-        _INSTANCES[name] = backend
-    return _INSTANCES[name]
-
-
-def set_backend(name: str) -> Backend:
-    """Make ``name`` the process-wide active backend and return it.
-
-    Raises ``ValueError`` for an unregistered name and
-    :class:`BackendUnavailable` for a registered-but-unconstructible one.
-    """
-    global _ACTIVE
-    _ACTIVE = _instantiate(name)
-    return _ACTIVE
-
-
 def get_backend() -> Backend:
-    """The active backend, resolving ``REPRO_BACKEND`` (default numpy) on
-    first use."""
-    global _ACTIVE
-    if _ACTIVE is None:
-        name = os.environ.get("REPRO_BACKEND", "").strip() or DEFAULT_BACKEND
-        _ACTIVE = _instantiate(name)
+    """The active backend (a :class:`NumpyBackend` unless substituted)."""
     return _ACTIVE
-
-
-def reset_backend() -> None:
-    """Forget the active selection; the next :func:`get_backend` re-resolves
-    ``REPRO_BACKEND``/default.  ``seed_all()`` calls this when a config leaves
-    ``backend`` unset so sweep cells sharing a process don't inherit a
-    previous cell's choice."""
-    global _ACTIVE
-    _ACTIVE = None
 
 
 @contextlib.contextmanager
 def backend_mode(name: str):
-    """Context manager scoping :func:`set_backend` (tests, conformance)."""
+    """Activate the backend registered as ``name`` for the ``with`` body.
+
+    Raises ``ValueError`` for an unregistered name or a backend missing
+    elementwise kernels; the previous backend is restored on exit, also when
+    the body raises.
+    """
     global _ACTIVE
-    previous = _ACTIVE
-    set_backend(name)
+    if name not in _FACTORIES:
+        raise ValueError(f"unknown backend {name!r}; registered backends: "
+                         f"{', '.join(sorted(_FACTORIES))}")
+    backend = _FACTORIES[name]()
+    _validate(backend)
+    previous, _ACTIVE = _ACTIVE, backend
     try:
-        yield _ACTIVE
+        yield backend
     finally:
         _ACTIVE = previous
-
-
-def available_backends() -> Dict[str, Optional[str]]:
-    """Map every registered name to ``None`` (constructible) or the
-    unavailability reason string (used for skip-with-reason in tests)."""
-    out: Dict[str, Optional[str]] = {}
-    for name in backend_names():
-        try:
-            _instantiate(name)
-            out[name] = None
-        except BackendUnavailable as exc:
-            out[name] = exc.reason
-    return out
 
 
 # ------------------------------------------------------- builtin registration
 from .numpy_backend import NumpyBackend  # noqa: E402
 
-
-def _torch_factory() -> Backend:
-    from .torch_backend import TorchBackend  # deferred: torch import is heavy
-
-    return TorchBackend()
-
-
 register_backend("numpy", NumpyBackend)
-register_backend("torch", _torch_factory)
+_ACTIVE: Backend = NumpyBackend()

@@ -6,7 +6,7 @@ code that lived inline in ``repro.nn.lazy`` (elementwise table),
 ``repro.nn.tensor`` (matmul, reductions, cumsum) before the backend seam
 existed, so dispatching through :class:`NumpyBackend` produces byte-for-byte
 the same arrays the monolithic code did — ``tests/nn/test_backends.py``
-pins that, and the accelerated backends are tolerance-checked against it.
+pins that.
 """
 
 from __future__ import annotations

@@ -121,7 +121,7 @@ class _Stats:
 STATS = _Stats()
 
 
-def graph_stats() -> Dict[str, object]:
+def graph_stats() -> Dict[str, int]:
     """Snapshot of the engine counters.
 
     * ``ops_recorded`` — elementwise/movement ops deferred as graph nodes.
@@ -132,8 +132,6 @@ def graph_stats() -> Dict[str, object]:
     * ``ops_evaluated`` — kernels actually executed (shared subgraphs count
       once per realization).
     * ``realizations`` — times the scheduler ran.
-    * ``backend`` — name of the active compute backend (the only non-counter
-      entry; see :mod:`repro.nn.backends`).
     """
     return {
         "ops_recorded": STATS.ops_recorded,
@@ -141,7 +139,6 @@ def graph_stats() -> Dict[str, object]:
         "buffers_elided": STATS.buffers_elided,
         "ops_evaluated": STATS.ops_evaluated,
         "realizations": STATS.realizations,
-        "backend": _backends.get_backend().name,
     }
 
 

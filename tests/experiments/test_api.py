@@ -8,8 +8,7 @@ Covers the contract every registered experiment must satisfy:
 * every experiment's :class:`ExperimentResult` JSON artifact round-trips
   (metrics and config echo equal) under reduced ``fast`` configs,
 * one shared seeding helper makes same-seed runs bitwise repeatable,
-* the legacy ``run_*`` entry points still work (with a deprecation warning)
-  and agree with the registry path at a fixed seed.
+* the flat metrics agree with the rich ``raw`` results they are read from.
 """
 
 import json
@@ -191,7 +190,7 @@ class TestArtifactRoundTrip:
         assert isinstance(excinfo.value, ValueError)
 
 
-class TestDeterminismAndLegacyEquality:
+class TestDeterminismAndRawEquality:
     def test_same_seed_same_summary(self):
         overrides = dict(TINY_OVERRIDES["fig1-regression"], panels="local_reparameterization",
                         seed=7)
@@ -199,26 +198,23 @@ class TestDeterminismAndLegacyEquality:
         second = run_experiment("fig1-regression", fast=True, overrides=overrides)
         assert first.metrics == second.metrics
 
-    def test_legacy_shim_warns_and_matches_registry(self):
-        from repro.experiments.regression import run_figure1
-
+    def test_metrics_match_raw_panels(self):
         spec = get_experiment("fig1-regression")
         config = spec.make_config(fast=True, overrides=TINY_OVERRIDES["fig1-regression"])
-        registry_result = spec.run(config)
-        with pytest.warns(DeprecationWarning, match="fig1-regression"):
-            legacy = run_figure1(config)
-        assert set(legacy) == {"local_reparameterization", "shared_weight_samples", "hmc"}
-        for method, panel in legacy.items():
+        result = run_experiment("fig1-regression", config)
+        assert set(result.raw) == {"local_reparameterization", "shared_weight_samples", "hmc"}
+        for method, panel in result.raw.items():
             for key, value in panel.summary().items():
                 if key == "method":
                     continue
-                assert registry_result.metrics[f"{method}_{key}"] == pytest.approx(value)
+                assert result.metrics[f"{method}_{key}"] == pytest.approx(value)
 
-    def test_legacy_continual_shims_warn(self):
-        from repro.experiments.continual import run_ml_baseline
+    def test_continual_explicit_config_run(self):
         from repro.experiments.continual import ContinualConfig
 
         config = ContinualConfig.fast().with_overrides(TINY_OVERRIDES["fig4-vcl"])
-        with pytest.warns(DeprecationWarning, match="fig4-vcl"):
-            result = run_ml_baseline(config)
-        assert len(result.mean_accuracies) == config.num_tasks
+        result = run_experiment("fig4-vcl", config)
+        ml = result.raw[config.suite]["ml"]
+        assert len(ml.mean_accuracies) == config.num_tasks
+        assert result.metrics[f"{config.suite}_ml_final_mean_accuracy"] == \
+            ml.mean_accuracies[-1]

@@ -1,16 +1,15 @@
-"""Backend registry semantics + a conformance suite over every backend.
+"""The backend seam: its substitution hook and kernel conformance.
 
-The conformance tests are parametrized over every *registered* backend name
-(``numpy``, ``torch``, ...).  An unavailable optional backend skips with its
-:class:`~repro.nn.backends.BackendUnavailable` reason instead of failing, so
-the same suite runs everywhere and exercises torch only where it is
-installed (the CI ``backend`` job).
-
-Tolerance contract: the ``numpy`` backend must be **bit-identical** to the
-plain-numpy expressions its kernels were moved from; accelerated backends
-are ``allclose``-checked against the reference.  Autograd on the reference
-backend is byte-identity-pinned against hand-written numpy formulas.
+``numpy`` is the one built-in backend.  The seam exists so a test or the
+profiler can substitute a backend that sees every kernel, so the conformance
+suite runs over two backends: ``numpy`` itself and :class:`CountingBackend`,
+a substitute that delegates every kernel to numpy and counts the calls.
+Both must be **bit-identical** to the plain-numpy expressions the kernels
+were moved from; autograd on numpy is byte-identity-pinned against
+hand-written numpy formulas.
 """
+
+import collections
 
 import numpy as np
 import pytest
@@ -18,77 +17,74 @@ from scipy import special
 
 from repro import nn
 from repro.nn import backends, functional as F, lazy
-from repro.nn.backends import (Backend, BackendUnavailable, available_backends,
-                               backend_mode, get_backend, set_backend)
+from repro.nn.backends import Backend, NumpyBackend, backend_mode, get_backend
 from repro.nn.tensor import Tensor
 
-RTOL, ATOL = 1e-6, 1e-9
+KERNELS = ("matmul", "im2col", "col2im", "max_pool2d", "avg_pool2d", "sum",
+           "mean", "max", "cumsum")
 
 
-@pytest.fixture(params=sorted(backends.backend_names()))
-def any_backend(request):
-    """Every registered backend, active for the duration of the test."""
-    name = request.param
-    reason = available_backends()[name]
-    if reason is not None:
-        pytest.skip(f"backend {name!r} unavailable: {reason}")
-    with backend_mode(name):
-        yield get_backend()
+class CountingBackend(Backend):
+    """Delegates every kernel to :class:`NumpyBackend` and counts the calls."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.calls = collections.Counter()
+        base = NumpyBackend()
+        self.elementwise = {op: self._counted(op, fn)
+                            for op, fn in base.elementwise.items()}
+        for kernel in KERNELS:
+            setattr(self, kernel, self._counted(kernel, getattr(base, kernel)))
+
+    def _counted(self, kernel, fn):
+        def counted(*args, **kwargs):
+            self.calls[kernel] += 1
+            return fn(*args, **kwargs)
+        return counted
 
 
-def _reference():
-    """The reference backend instance (not activated)."""
-    return backends._instantiate("numpy")
+@pytest.fixture
+def counting_registered(monkeypatch):
+    """Register :class:`CountingBackend` as ``"counting"`` for one test."""
+    monkeypatch.setitem(backends._FACTORIES, "counting", CountingBackend)
 
 
-def _check(backend, actual, expected):
-    """Bit-identity on the reference backend, allclose on accelerated ones."""
+@pytest.fixture(params=["numpy", "counting"])
+def any_backend(request, counting_registered):
+    """The built-in and the substitute backend, active for the test."""
+    with backend_mode(request.param) as backend:
+        yield backend
+
+
+def _check(actual, expected):
+    """Bit-identity: same shape, same dtype, same values."""
     actual = np.asarray(actual)
     expected = np.asarray(expected)
     assert actual.shape == expected.shape
-    if backend.name == "numpy":
-        assert actual.dtype == expected.dtype
-        np.testing.assert_array_equal(actual, expected)
-    else:
-        np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=ATOL)
+    assert actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual, expected)
 
 
 # ----------------------------------------------------------------- registry
 class TestRegistry:
     def test_default_backend_is_numpy(self):
-        backends.reset_backend()
-        try:
-            assert get_backend().name == "numpy"
-        finally:
-            backends.reset_backend()
-
-    def test_both_builtin_backends_registered(self):
-        assert set(backends.backend_names()) >= {"numpy", "torch"}
+        assert isinstance(get_backend(), NumpyBackend)
+        assert get_backend().name == "numpy"
 
     def test_unknown_backend_raises_with_known_names(self):
+        before = get_backend()
         with pytest.raises(ValueError, match="numpy"):
-            set_backend("definitely-not-a-backend")
-        assert get_backend().name  # the active selection survived the error
+            with backend_mode("definitely-not-a-backend"):
+                pass
+        assert get_backend() is before
 
-    def test_unavailable_backend_carries_reason(self):
-        reasons = available_backends()
-        assert reasons["numpy"] is None
-        if reasons["torch"] is not None:
-            with pytest.raises(BackendUnavailable, match="torch"):
-                set_backend("torch")
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        backends.reset_backend()
-        try:
-            assert get_backend().name == "numpy"
-            monkeypatch.setenv("REPRO_BACKEND", "no-such-backend")
-            backends.reset_backend()
-            with pytest.raises(ValueError, match="no-such-backend"):
-                get_backend()
-        finally:
-            monkeypatch.delenv("REPRO_BACKEND")
-            backends.reset_backend()
+    def test_substitute_is_active_only_in_scope(self, counting_registered):
+        before = get_backend()
+        with backend_mode("counting") as active:
+            assert get_backend() is active
+            assert isinstance(active, CountingBackend)
+        assert get_backend() is before
 
     def test_backend_mode_restores_previous(self):
         before = get_backend()
@@ -96,22 +92,56 @@ class TestRegistry:
             assert active.name == "numpy"
         assert get_backend() is before
 
-    def test_incomplete_backend_rejected_on_activation(self):
+    def test_backend_mode_restores_previous_when_body_raises(
+            self, counting_registered):
+        before = get_backend()
+        with pytest.raises(RuntimeError, match="boom"):
+            with backend_mode("counting"):
+                raise RuntimeError("boom")
+        assert get_backend() is before
+
+    def test_incomplete_backend_rejected_on_activation(self, monkeypatch):
         class Hollow(Backend):
             name = "hollow"
             elementwise = {"add": lambda srcs, params, out=None: srcs[0]}
 
-        backends.register_backend("hollow", Hollow)
-        try:
-            with pytest.raises(ValueError, match="missing elementwise"):
-                set_backend("hollow")
-        finally:
-            backends._FACTORIES.pop("hollow", None)
-            backends._INSTANCES.pop("hollow", None)
-            backends.reset_backend()
+        before = get_backend()
+        monkeypatch.setitem(backends._FACTORIES, "hollow", Hollow)
+        with pytest.raises(ValueError, match="missing elementwise"):
+            with backend_mode("hollow"):
+                pass
+        assert get_backend() is before
 
-    def test_graph_stats_reports_active_backend(self):
-        assert lazy.graph_stats()["backend"] == get_backend().name
+
+# -------------------------------------------------------- substitution hook
+class TestSubstitutionHook:
+    """What the profiler's traced run depends on: a substituted backend sees
+    the kernels of a forward and backward pass and changes no byte."""
+
+    def test_counting_backend_sees_kernels_and_changes_nothing(
+            self, counting_registered, rng):
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        conv_w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        linear = nn.Linear(4 * 4 * 4, 5, rng=rng)
+        params = [x, conv_w] + list(linear.parameters())
+
+        def run():
+            for p in params:
+                p.grad = None
+            hidden = F.conv2d(x, conv_w, None, stride=1).relu()
+            out = linear(hidden.reshape(2, -1))
+            out.tanh().sum().backward()
+            return [out.numpy().copy()] + [p.grad.copy() for p in params]
+
+        expected = run()
+        with backend_mode("counting") as counting:
+            actual = run()
+        for kernel in ("matmul", "im2col", "col2im"):
+            assert counting.calls[kernel] > 0, kernel
+        assert len(actual) == len(expected)
+        for got, want in zip(actual, expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------- elementwise kernels
@@ -167,7 +197,7 @@ class TestElementwiseConformance:
         params = _PARAMS.get(op, {})
         expected = (_PARAM_EXPECT[op] if expect is None else expect)(*srcs)
         actual = any_backend.elementwise[op](srcs, params)
-        _check(any_backend, actual, expected)
+        _check(actual, expected)
 
     @pytest.mark.parametrize("op", sorted(ELEMENTWISE_CASES))
     def test_out_contract_writes_in_place(self, any_backend, op, rng):
@@ -179,39 +209,39 @@ class TestElementwiseConformance:
         out = np.empty(expected.shape, dtype=expected.dtype)
         result = any_backend.elementwise[op](srcs, params, out=out)
         assert result is out
-        _check(any_backend, out, expected)
+        _check(out, expected)
 
 
 # ----------------------------------------------------------- kernel entries
 class TestKernelConformance:
     def test_matmul_2d_and_batched(self, any_backend, rng):
         a2, b2 = rng.normal(size=(5, 7)), rng.normal(size=(7, 3))
-        _check(any_backend, any_backend.matmul(a2, b2), a2 @ b2)
+        _check(any_backend.matmul(a2, b2), a2 @ b2)
         ab, bb = rng.normal(size=(4, 5, 7)), rng.normal(size=(7, 3))
-        _check(any_backend, any_backend.matmul(ab, bb), ab @ bb)
+        _check(any_backend.matmul(ab, bb), ab @ bb)
 
     def test_matmul_vector_contraction(self, any_backend, rng):
         va, vb = rng.normal(size=9), rng.normal(size=9)
-        _check(any_backend, any_backend.matmul(va, vb), va @ vb)
+        _check(any_backend.matmul(va, vb), va @ vb)
 
     def test_im2col_and_col2im(self, any_backend, rng):
         x = rng.normal(size=(2, 3, 6, 6))
-        ref = _reference()
+        ref = NumpyBackend()
         for kh, kw, stride in [(3, 3, 1), (2, 2, 2)]:
             cols, out_h, out_w = any_backend.im2col(x, kh, kw, stride)
             ref_cols, ref_h, ref_w = ref.im2col(x, kh, kw, stride)
             assert (out_h, out_w) == (ref_h, ref_w)
-            _check(any_backend, cols, ref_cols)
+            _check(cols, ref_cols)
             grad = rng.normal(size=ref_cols.shape)
-            _check(any_backend, any_backend.col2im(grad, x.shape, kh, kw, stride),
+            _check(any_backend.col2im(grad, x.shape, kh, kw, stride),
                    ref.col2im(grad, x.shape, kh, kw, stride))
 
     def test_max_pool2d_values_and_window_indices(self, any_backend, rng):
         x = rng.normal(size=(2, 3, 6, 6))
         for kernel, stride in [(2, 2), (3, 1)]:
             pooled, idx = any_backend.max_pool2d(x, kernel, stride)
-            ref_pooled, ref_idx = _reference().max_pool2d(x, kernel, stride)
-            _check(any_backend, pooled, ref_pooled)
+            ref_pooled, ref_idx = NumpyBackend().max_pool2d(x, kernel, stride)
+            _check(pooled, ref_pooled)
             # the within-window argmax convention is part of the contract:
             # random floats make ties (the only legal divergence) improbable
             np.testing.assert_array_equal(idx, ref_idx)
@@ -219,26 +249,26 @@ class TestKernelConformance:
 
     def test_avg_pool2d(self, any_backend, rng):
         x = rng.normal(size=(2, 3, 6, 6))
-        _check(any_backend, any_backend.avg_pool2d(x, 2, 2),
-               _reference().avg_pool2d(x, 2, 2))
+        _check(any_backend.avg_pool2d(x, 2, 2),
+               NumpyBackend().avg_pool2d(x, 2, 2))
 
     @pytest.mark.parametrize("axis,keepdims", [
         (None, False), (None, True), (0, False), (1, True), ((0, 2), False),
     ])
     def test_reductions(self, any_backend, rng, axis, keepdims):
         x = rng.normal(size=(3, 4, 5))
-        _check(any_backend, any_backend.sum(x, axis=axis, keepdims=keepdims),
+        _check(any_backend.sum(x, axis=axis, keepdims=keepdims),
                np.sum(x, axis=axis, keepdims=keepdims))
-        _check(any_backend, any_backend.mean(x, axis=axis, keepdims=keepdims),
+        _check(any_backend.mean(x, axis=axis, keepdims=keepdims),
                np.mean(x, axis=axis, keepdims=keepdims))
         if not isinstance(axis, tuple):
-            _check(any_backend, any_backend.max(x, axis=axis, keepdims=keepdims),
+            _check(any_backend.max(x, axis=axis, keepdims=keepdims),
                    np.max(x, axis=axis, keepdims=keepdims))
 
     def test_cumsum(self, any_backend, rng):
         x = rng.normal(size=(3, 4, 5))
         for axis in range(x.ndim):
-            _check(any_backend, any_backend.cumsum(x, axis),
+            _check(any_backend.cumsum(x, axis),
                    np.cumsum(x, axis=axis))
 
     def test_integer_sum_keeps_integer_dtype(self, any_backend):
@@ -262,10 +292,7 @@ class TestTensorIntegration:
         actual = run()
         with backend_mode("numpy"):
             expected = run()
-        if any_backend.name == "numpy":
-            assert actual == expected
-        else:
-            assert actual == pytest.approx(expected, rel=1e-9)
+        assert actual == expected
 
     def test_conv_and_pool_forward(self, any_backend, rng):
         x = Tensor(rng.normal(size=(2, 3, 8, 8)))
@@ -274,7 +301,7 @@ class TestTensorIntegration:
         out = F.max_pool2d(F.conv2d(x, w, bias, stride=1), 2)
         with backend_mode("numpy"):
             expected = F.max_pool2d(F.conv2d(x, w, bias, stride=1), 2)
-        _check(any_backend, out.numpy(), expected.numpy())
+        _check(out.numpy(), expected.numpy())
 
     def test_lazy_and_eager_agree_per_backend(self, any_backend, rng):
         """The fusion scheduler and compute_eager run the same kernels."""
@@ -341,30 +368,3 @@ class TestReferenceAutogradByteIdentity:
             step = 0.1 * np.sqrt(1 - 0.999) / (1 - 0.9)
             expected = pv - step * m / (np.sqrt(v) + 1e-8)
             np.testing.assert_array_equal(p.data, expected)
-
-
-# ---------------------------------------------------------- config plumbing
-class TestConfigPlumbing:
-    def test_seed_all_applies_and_resets_backend(self):
-        from repro.experiments.api.base import BaseExperimentConfig
-
-        BaseExperimentConfig(backend="numpy").seed_all()
-        assert get_backend().name == "numpy"
-        # backend=None resets so REPRO_BACKEND/default re-resolve per cell
-        BaseExperimentConfig().seed_all()
-        assert backends._ACTIVE is None
-        assert get_backend().name == "numpy"
-
-    def test_seed_all_rejects_unknown_backend(self):
-        from repro.experiments.api.base import BaseExperimentConfig
-
-        with pytest.raises(ValueError, match="unknown backend"):
-            BaseExperimentConfig(backend="nope").seed_all()
-
-    def test_cli_override_coercion(self):
-        from repro.experiments.api.base import BaseExperimentConfig
-
-        config = BaseExperimentConfig().with_overrides({"backend": "torch"})
-        assert config.backend == "torch"
-        assert BaseExperimentConfig().with_overrides(
-            {"backend": "none"}).backend is None

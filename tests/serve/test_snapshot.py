@@ -162,6 +162,21 @@ class TestEngineValidation:
         assert engine.snapshot.sites["0.weight"].shape == (TINY_NUM_SAMPLES, 8, 1)
         assert set(engine.bnn.param_dists) == set(engine.snapshot.sites)
 
+    @pytest.mark.parametrize("echo", [None, "numpy"])
+    def test_retired_backend_echo_still_serves(self, fig1_snapshot_dir, echo):
+        # snapshots written while BaseExperimentConfig had a ``backend``
+        # field echo it; the default values load as if it were absent
+        loaded = load_snapshot(fig1_snapshot_dir)
+        loaded.config["backend"] = echo
+        engine = PredictionEngine.from_snapshot(loaded)
+        assert engine.predict(np.zeros((2, 1))).mean.shape == (2, 1)
+
+    def test_retired_backend_echo_other_value_rejected(self, fig1_snapshot_dir):
+        loaded = load_snapshot(fig1_snapshot_dir)
+        loaded.config["backend"] = "torch"
+        with pytest.raises(SnapshotError, match="backend"):
+            PredictionEngine.from_snapshot(loaded)
+
     def test_snapshot_dataclass_roundtrip_without_experiment(self, tmp_path):
         from collections import OrderedDict
 
