@@ -60,11 +60,23 @@ def record_bench_entry(name: str, workload: str, payload: dict) -> Path:
     return path
 
 
-def best_of(fn, repeats: int = 5) -> float:
-    """Best wall-clock time of ``repeats`` runs of ``fn`` (damps scheduler noise)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _time(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def interleaved_rounds(baseline, candidate, rounds: int = 5):
+    """Time ``baseline`` and ``candidate`` alternately for ``rounds`` rounds.
+
+    Returns ``(speedup, baseline_seconds, candidate_seconds)``: the median of
+    the per-round ``baseline / candidate`` ratios, and the median time of
+    each side.  Alternating the two makes machine-load drift hit both sides
+    equally instead of landing on one side only.
+    """
+    baseline_times, candidate_times = [], []
+    for _ in range(rounds):
+        baseline_times.append(_time(baseline))
+        candidate_times.append(_time(candidate))
+    speedup = float(np.median([b / c for b, c in zip(baseline_times, candidate_times)]))
+    return speedup, float(np.median(baseline_times)), float(np.median(candidate_times))

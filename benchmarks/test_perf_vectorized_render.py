@@ -7,9 +7,9 @@ rendered by :class:`VolumetricRenderer`), both recorded as entries of
 * **Posterior-view rendering** (``bayesian_nerf_posterior_views``): the
   batched engine (one forward per view over the stacked posterior-sample
   axis, one batched compositing pass for all views, O(n) cumulative-sum
-  transmittance) must be at least 3x faster than the looped reference that
-  renders each of the ``angles x samples`` scenes through its own traced
-  pass, and both paths must produce identical posterior mean/std maps under
+  transmittance) must be at least 3x faster than the looped reference
+  oracle that renders each of the ``angles x samples`` scenes through its
+  own traced ``renderer(angle, bnn)`` pass, and both paths must produce identical posterior mean/std maps under
   the same RNG seed (``atol=1e-8``) — the draws are consumed in the same
   order.
 * **Batched training step** (``bayesian_nerf_batched_training_step``): the
@@ -28,11 +28,10 @@ compared via the median per-round ratio, so machine-load drift hits both
 paths equally instead of biasing the gates.
 """
 
-import time
 from functools import partial
 
 import numpy as np
-from _harness import record, record_bench_entry, run_once
+from _harness import interleaved_rounds, record, record_bench_entry, run_once
 
 from repro import nn, ppl
 import repro.core as tyxe
@@ -66,10 +65,16 @@ def _make_nerf_bnn(rng):
     return bnn
 
 
-def _time(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+def _looped_posterior_views(renderer, bnn, angles, num_samples):
+    """The reference oracle: one traced ``renderer(angle, bnn)`` per scene."""
+    means, stds = [], []
+    with nn.no_grad():
+        for angle in angles:
+            stacked = np.stack([renderer(float(angle), bnn)[0].data.copy()
+                                for _ in range(num_samples)])
+            means.append(stacked.mean(axis=0))
+            stds.append(stacked.std(axis=0))
+    return {"mean": means, "std": stds}
 
 
 def test_vectorized_render_speedup(benchmark, speedup_gate):
@@ -81,28 +86,21 @@ def test_vectorized_render_speedup(benchmark, speedup_gate):
 
     # numerical equivalence under a shared seed (same angle-major draw order)
     ppl.set_rng_seed(42)
-    looped = _render_posterior_views(renderer, bnn, angles, NUM_POSTERIOR_SAMPLES)
+    looped = _looped_posterior_views(renderer, bnn, angles, NUM_POSTERIOR_SAMPLES)
     ppl.set_rng_seed(42)
-    vectorized = _render_posterior_views(renderer, bnn, angles, NUM_POSTERIOR_SAMPLES,
-                                         vectorized=True)
+    vectorized = _render_posterior_views(renderer, bnn, angles, NUM_POSTERIOR_SAMPLES)
     for key in ("mean", "std"):
         for vec, ref in zip(vectorized[key], looped[key]):
             np.testing.assert_allclose(vec, ref, atol=1e-8, rtol=0)
 
     # interleaved wall-clock rounds; the median ratio damps load drift
-    looped_times, vectorized_times = [], []
-    for _ in range(_ROUNDS):
-        looped_times.append(_time(lambda: _render_posterior_views(
-            renderer, bnn, angles, NUM_POSTERIOR_SAMPLES)))
-        vectorized_times.append(_time(lambda: _render_posterior_views(
-            renderer, bnn, angles, NUM_POSTERIOR_SAMPLES, vectorized=True)))
-    ratios = [lo / vec for lo, vec in zip(looped_times, vectorized_times)]
-    speedup = float(np.median(ratios))
-    t_looped = float(np.median(looped_times))
-    t_vectorized = float(np.median(vectorized_times))
+    speedup, t_looped, t_vectorized = interleaved_rounds(
+        lambda: _looped_posterior_views(renderer, bnn, angles, NUM_POSTERIOR_SAMPLES),
+        lambda: _render_posterior_views(renderer, bnn, angles, NUM_POSTERIOR_SAMPLES),
+        rounds=_ROUNDS)
 
     run_once(benchmark, _render_posterior_views, renderer, bnn, angles,
-             NUM_POSTERIOR_SAMPLES, vectorized=True)
+             NUM_POSTERIOR_SAMPLES)
     record(benchmark, looped_ms=t_looped * 1e3, vectorized_ms=t_vectorized * 1e3,
            speedup=speedup, num_posterior_samples=NUM_POSTERIOR_SAMPLES,
            num_angles=NUM_ANGLES, image_size=IMAGE_SIZE)
@@ -171,14 +169,8 @@ def test_batched_training_step_speedup(benchmark, speedup_gate):
                              config.silhouette_weight).backward()
 
     # interleaved wall-clock rounds; the median ratio damps load drift
-    looped_times, batched_times = [], []
-    for _ in range(_ROUNDS):
-        looped_times.append(_time(looped_step))
-        batched_times.append(_time(batched_step))
-    ratios = [lo / bat for lo, bat in zip(looped_times, batched_times)]
-    speedup = float(np.median(ratios))
-    t_looped = float(np.median(looped_times))
-    t_batched = float(np.median(batched_times))
+    speedup, t_looped, t_batched = interleaved_rounds(looped_step, batched_step,
+                                                      rounds=_ROUNDS)
 
     run_once(benchmark, batched_step)
     record(benchmark, looped_ms=t_looped * 1e3, batched_ms=t_batched * 1e3,

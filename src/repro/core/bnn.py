@@ -53,6 +53,11 @@ def _as_tuple(value) -> Tuple:
     return tuple(Tensor(item) if isinstance(item, np.ndarray) else item for item in items)
 
 
+def _check_num_predictions(num_predictions: int) -> None:
+    if num_predictions < 1:
+        raise ValueError(f"num_predictions must be at least 1, got {num_predictions}")
+
+
 class _BNN:
     """Probabilistic model over the parameters of a wrapped network."""
 
@@ -284,6 +289,12 @@ class GuidedBNN(_BNN):
                 "sample count is determined by the stacks' leading axis")
         elif samples:
             num_samples = next(iter(samples.values())).shape[0]
+        return self._forward_with_stacks(samples, num_samples, *args, **kwargs)
+
+    def _forward_with_stacks(self, samples: Dict[str, Tensor], num_samples: int,
+                             *args, **kwargs):
+        """One batched forward with ``samples`` (completed from the prior)
+        substituted as ``(num_samples, ...)`` weight stacks."""
         values = self._complete_with_prior_samples(samples, num_samples)
         with self._substituted_params(values), nn_F.vectorized_samples(1):
             return self.net(*args, **kwargs)
@@ -366,29 +377,37 @@ class _SupervisedBNN(GuidedBNN):
         return predictions
 
     def predict(self, input_data, num_predictions: int = 1, aggregate: bool = True,
-                vectorized: bool = False):
+                vectorized: bool = True):
         """Posterior-predictive samples (aggregated by default, per the paper).
 
-        ``vectorized=True`` draws all ``num_predictions`` weight samples up
-        front and runs a single batched forward pass over the leading sample
-        dimension instead of ``num_predictions`` traced passes — numerically
-        equivalent (same RNG stream) and much faster; requires a network whose
-        layers broadcast over leading weight dimensions, which all
-        ``repro.nn`` layers do.  The looped path remains the default and the
-        fallback for exotic architectures.
+        Draws ``num_predictions`` posterior weight samples (see
+        :meth:`_prediction_samples`) and runs them through the network in
+        one batched forward pass via :meth:`predict_with_samples`.  Returns
+        the likelihood-aggregated prediction, or the raw
+        ``(num_predictions, N, ...)`` stack with ``aggregate=False``.
+
+        ``vectorized`` is accepted for backward compatibility only; ``False``
+        is rejected, since the batched forward is the one prediction path.
         """
+        if not vectorized:
+            raise ValueError(
+                "predict has one execution path, the batched forward; for a "
+                "per-sample reference, call guided_forward once per sample")
+        _check_num_predictions(num_predictions)
+        inputs = _as_tuple(input_data)
         with no_grad():
-            if vectorized:
-                out = self.vectorized_forward(*_as_tuple(input_data),
-                                              num_samples=num_predictions)
-                stacked = Tensor(out.data if isinstance(out, Tensor) else np.asarray(out))
-            else:
-                predictions = []
-                for _ in range(num_predictions):
-                    out = self.guided_forward(*_as_tuple(input_data))
-                    predictions.append(out.data if isinstance(out, Tensor) else np.asarray(out))
-                stacked = Tensor(np.stack(predictions))
-        return self.likelihood.aggregate_predictions(stacked) if aggregate else stacked
+            samples = self._prediction_samples(num_predictions, inputs)
+        return self.predict_with_samples(inputs, samples, aggregate=aggregate,
+                                         num_samples=num_predictions)
+
+    def _prediction_samples(self, num_predictions: int, inputs: Tuple
+                            ) -> "OrderedDict[str, Tensor]":
+        """Weight stacks for :meth:`predict`: fresh guide draws.
+
+        The guide sees the plain (sample-axis-free) inputs: an autoguide's
+        lazy setup traces the model on them.
+        """
+        return self.posterior_weight_samples(num_predictions, *inputs)
 
     def predict_grouped(self, input_groups, num_predictions: int = 1, aggregate: bool = True):
         """Posterior-predictive samples for ``G`` stacked input groups at once.
@@ -396,15 +415,15 @@ class _SupervisedBNN(GuidedBNN):
         ``input_groups`` is a ``(G, N, ...)`` stack of per-group input batches
         (e.g. one test set per continual-learning task).  Each group gets its
         own ``num_predictions`` fresh weight draws, drawn group-major, so the
-        result is RNG-identical to calling
-        ``predict(group, num_predictions, vectorized=...)`` once per group in
-        order — but the network runs a single batched forward pass over the
-        ``G * num_predictions`` leading sample axis instead of ``G`` (or
-        ``G * num_predictions``) separate passes.
+        result is RNG-identical to calling ``predict(group, num_predictions)``
+        once per group in order — but the network runs a single batched
+        forward pass over the ``G * num_predictions`` leading sample axis
+        instead of ``G`` separate passes.
 
         Returns ``(G, N, ...)`` aggregated predictions, or the raw
         ``(G, num_predictions, N, ...)`` stack with ``aggregate=False``.
         """
+        _check_num_predictions(num_predictions)
         data = np.asarray(input_groups.data if isinstance(input_groups, Tensor)
                           else input_groups)
         if data.ndim < 2:
@@ -426,27 +445,41 @@ class _SupervisedBNN(GuidedBNN):
         return Tensor(np.stack(aggregated))
 
     def predict_with_samples(self, input_data, samples: Dict[str, Tensor],
-                             aggregate: bool = True):
+                             aggregate: bool = True, num_samples: Optional[int] = None):
         """Posterior-predictive output from pre-drawn weight stacks, RNG-free.
 
-        The serving hot path: ``samples`` is a ``{site: (S, ...)}`` stack (a
-        loaded snapshot, or fresh :meth:`posterior_weight_samples` output)
-        covering every Bayesian site, so one batched
-        :meth:`vectorized_forward` computes all ``S`` per-sample predictions
-        without consuming any randomness — the same stacks always produce
-        byte-identical outputs.  Returns the likelihood-aggregated prediction,
-        or the raw ``(S, N, ...)`` stack with ``aggregate=False``.
+        The one prediction forward (and the serving hot path): ``samples``
+        is a ``{site: (S, ...)}`` stack (a loaded snapshot, or fresh
+        :meth:`posterior_weight_samples` output) covering every Bayesian
+        site, so one batched forward computes all ``S`` per-sample
+        predictions without consuming any randomness — the same stacks
+        always produce byte-identical outputs.  Every ``Tensor`` input is
+        broadcast onto the leading sample axis (a zero-copy view), so layers
+        before the first Bayesian one — a deterministic body ending in
+        ``Flatten``, or a net with no Bayesian sites at all — see the same
+        ``(S, N, ...)`` layout as the rest of the network.  ``S`` is the
+        stacks' leading axis, or ``num_samples`` when ``samples`` is empty.
+        Returns the likelihood-aggregated prediction, or the raw
+        ``(S, N, ...)`` stack with ``aggregate=False``.
         """
+        if samples:
+            num_samples = next(iter(samples.values())).shape[0]
+        elif num_samples is None:
+            raise ValueError("pass num_samples when samples is empty (a net "
+                             "with no Bayesian sites)")
+        inputs = tuple(
+            Tensor(np.broadcast_to(x.data, (num_samples,) + x.shape))
+            if isinstance(x, Tensor) else x
+            for x in _as_tuple(input_data))
         with no_grad():
-            out = self.vectorized_forward(*_as_tuple(input_data), samples=samples)
+            out = self._forward_with_stacks(samples, num_samples, *inputs)
             stacked = Tensor(out.data if isinstance(out, Tensor) else np.asarray(out))
         return self.likelihood.aggregate_predictions(stacked) if aggregate else stacked
 
     def evaluate(self, input_data, targets, num_predictions: int = 1,
-                 reduction: str = "mean", vectorized: bool = False) -> Tuple[float, float]:
+                 reduction: str = "mean") -> Tuple[float, float]:
         """Return ``(log_likelihood, error)`` of the aggregated predictions."""
-        aggregated = self.predict(input_data, num_predictions=num_predictions, aggregate=True,
-                                  vectorized=vectorized)
+        aggregated = self.predict(input_data, num_predictions=num_predictions, aggregate=True)
         log_likelihood = self.likelihood.log_likelihood(aggregated, targets, reduction=reduction)
         error = self.likelihood.error(aggregated, targets, reduction=reduction)
         return log_likelihood, error
@@ -593,8 +626,8 @@ class MCMC_BNN(_SupervisedBNN):
         """Not supported: MCMC posteriors are stored sample chains, not a guide."""
         raise NotImplementedError(
             "posterior_weight_samples requires a guide-based BNN; MCMC "
-            "posteriors are fixed sample chains — use predict(..., "
-            "vectorized=True), which batches the stored samples directly. "
+            "posteriors are fixed sample chains — use predict(...), which "
+            "batches the stored samples directly. "
             "The serving layer (repro.serve snapshots) has the same "
             "guide-based requirement: refit with VariationalBNN (or another "
             "GuidedBNN) to snapshot and serve this model")
@@ -604,12 +637,12 @@ class MCMC_BNN(_SupervisedBNN):
 
         Grouped prediction draws fresh guide samples per group; for an MCMC
         posterior every group would reuse the same deterministic sample
-        indices, so simply call ``predict(group, ..., vectorized=True)`` per
-        group — it is already a single batched forward each.
+        indices, so simply call ``predict(group, ...)`` per group — it is
+        already a single batched forward each.
         """
         raise NotImplementedError(
             "predict_grouped requires a guide-based BNN; use per-group "
-            "predict(..., vectorized=True) with MCMC posteriors. The serving "
+            "predict(...) with MCMC posteriors. The serving "
             "layer (repro.serve) likewise refuses MCMC-backed models: "
             "snapshots need guide-drawn weight stacks")
 
@@ -634,31 +667,12 @@ class MCMC_BNN(_SupervisedBNN):
             return np.array([total - 1], dtype=int)
         return np.linspace(0, total - 1, num_predictions).astype(int)
 
-    def predict(self, input_data, num_predictions: int = 1, aggregate: bool = True,
-                vectorized: bool = False):
-        """Posterior-predictive estimates using evenly spaced posterior samples.
-
-        ``vectorized=True`` substitutes all selected posterior weight samples
-        at once and runs one batched forward pass over the leading sample
-        dimension (identical output to the looped path, no RNG involved).
-        """
+    def _prediction_samples(self, num_predictions: int, inputs: Tuple
+                            ) -> "OrderedDict[str, Tensor]":
+        """Evenly spaced stored posterior samples (at most the chain length)."""
         total = self.num_posterior_samples
         if total == 0:
             raise RuntimeError("call fit() before predict()")
-        num_predictions = min(num_predictions, total)
-        indices = self._prediction_indices(total, num_predictions)
-        with no_grad():
-            if vectorized:
-                samples = self.posterior_samples()
-                values = OrderedDict((name, Tensor(samples[name][indices]))
-                                     for name in self.param_dists)
-                with self._substituted_params(values), nn_F.vectorized_samples(1):
-                    out = self.net(*_as_tuple(input_data))
-                stacked = Tensor(out.data if isinstance(out, Tensor) else np.asarray(out))
-            else:
-                predictions = []
-                for idx in indices:
-                    out = self.guided_forward(*_as_tuple(input_data), sample_index=int(idx))
-                    predictions.append(out.data if isinstance(out, Tensor) else np.asarray(out))
-                stacked = Tensor(np.stack(predictions))
-        return self.likelihood.aggregate_predictions(stacked) if aggregate else stacked
+        indices = self._prediction_indices(total, min(num_predictions, total))
+        samples = self.posterior_samples()
+        return OrderedDict((name, Tensor(samples[name][indices])) for name in self.param_dists)

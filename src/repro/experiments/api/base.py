@@ -1,9 +1,9 @@
 """Common config/result protocol shared by every registered experiment.
 
 ``BaseExperimentConfig`` centralizes the knobs that each of the five
-experiment modules used to reinvent (seed, fast mode, vectorized evaluation,
-output directory) together with one seeding idiom and typed ``key=value``
-overrides for the CLI.  ``ExperimentResult`` is the one artifact schema every
+experiment modules used to reinvent (seed, fast mode, output directory)
+together with one seeding idiom and typed ``key=value`` overrides for the
+CLI.  ``ExperimentResult`` is the one artifact schema every
 experiment emits: a flat JSON document with the metrics, a config echo and
 the wall-clock time, round-trippable through ``to_json``/``from_json``.
 """
@@ -137,11 +137,8 @@ class BaseExperimentConfig:
     Subclasses append their own hyper-parameters (all fields must have
     defaults) and may re-declare ``seed`` to change its default.  ``fast``
     marks reduced smoke-test-scale configurations (set by each config's
-    ``fast()`` constructor); ``vectorized_eval`` selects the batched
-    leading-sample-dimension evaluation engine where an experiment supports
-    it (NeRF posterior rendering, continual-learning task evaluation) and is
-    ignored elsewhere; ``output_dir`` is where the registry writes the JSON
-    artifact (``None`` = do not write).
+    ``fast()`` constructor); ``output_dir`` is where the registry writes the
+    JSON artifact (``None`` = do not write).
 
     Each concrete config defines a ``fast()`` classmethod returning its
     reduced smoke-test configuration (with ``fast=True`` set).  The
@@ -153,7 +150,6 @@ class BaseExperimentConfig:
 
     seed: int = 0
     fast: bool = False
-    vectorized_eval: bool = True
     output_dir: Optional[str] = None
 
     # ------------------------------------------------------------------ seeding
@@ -177,13 +173,17 @@ class BaseExperimentConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "BaseExperimentConfig":
         """Rebuild a config from :meth:`to_dict` output (unknown keys rejected).
 
-        Config echoes written while the retired ``backend`` field existed
-        carry ``"backend": null`` (or ``"numpy"``); that key is dropped, as
-        both meant the numpy kernels every run uses now.  Any other value
-        is rejected like an unknown key.
+        Config echoes written while retired fields existed still load: a
+        ``"backend"`` of ``null``/``"numpy"`` (the numpy kernels every run
+        uses now) and a boolean ``"vectorized_eval"`` (every evaluation now
+        runs batched) are dropped.  Any other value is rejected like an
+        unknown key.
         """
-        if "backend" in data and data["backend"] in (None, "numpy"):
-            data = {key: value for key, value in data.items() if key != "backend"}
+        data = dict(data)
+        if data.get("backend", "numpy") in (None, "numpy"):
+            data.pop("backend", None)
+        if isinstance(data.get("vectorized_eval"), bool):
+            del data["vectorized_eval"]
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -219,6 +219,12 @@ def _conv2d_default(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     (``x``: ``(S..., N, C, H, W)``, ``weight``: ``(S..., out_c, in_c, kh, kw)``),
     which broadcast against each other through a single batched matmul.
     """
+    x_lead = x.shape[:-4]
+    if (x_lead and weight.shape[:-4] == x_lead and not any(x.data.strides[:len(x_lead)])
+            and not (is_grad_enabled() and x.requires_grad)):
+        # a broadcast input (every weight sample sees the same images):
+        # unfold the images once and let the weight stack broadcast instead
+        x = Tensor(x.data[(0,) * len(x_lead)])
     xp = x.pad2d(padding) if padding else x
     out_c, in_c, kh, kw = weight.shape[-4:]
     w_lead = weight.shape[:-4]

@@ -3,18 +3,22 @@
 The vectorized paths are required to be *numerically equivalent* to the
 looped reference paths under the same RNG seed, not merely statistically
 similar: guide samples are drawn in the identical stream order, and the
-batched forward pass computes the same per-sample arithmetic.  These tests
-pin that contract for
+batched forward pass computes the same per-sample arithmetic.  The looped
+prediction references are oracles written here as per-sample
+``guided_forward`` loops (:func:`_looped_predict`,
+:func:`_looped_mcmc_predict`).  These tests pin that contract for
 
-* ``VariationalBNN.predict``  (looped vs ``vectorized=True``),
-* ``MCMC_BNN.predict``        (looped vs ``vectorized=True``),
+* ``VariationalBNN.predict``  (batched vs the ``guided_forward`` loop),
+* ``MCMC_BNN.predict``        (batched vs the ``guided_forward`` loop),
 * ``Trace_ELBO`` / ``TraceMeanField_ELBO``
   (``num_particles``-looped vs ``vectorize_particles=True``), including the
   gradients reaching the variational parameters,
 
 for both a regression (HomoskedasticGaussian) and a classification
-(Categorical) likelihood, for MLPs and for a conv net exercising the
-``Conv2d``/``MaxPool2d``/``Flatten`` sample-dimension support.
+(Categorical) likelihood, for MLPs, for a conv net exercising the
+``Conv2d``/``MaxPool2d``/``Flatten`` sample-dimension support, and for
+partially Bayesian nets (a deterministic conv body before a Bayesian head,
+and a net with no Bayesian sites at all).
 """
 
 from functools import partial
@@ -22,13 +26,34 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro import nn, ppl
+from repro import metrics, nn, ppl
 import repro.core as tyxe
 from repro.nn.tensor import Tensor
 from repro.ppl import distributions as dist
 from repro.ppl.infer import Trace_ELBO, TraceMeanField_ELBO
 
 ATOL = 1e-8
+
+
+def _aggregate(bnn, predictions, aggregate):
+    stacked = Tensor(np.stack(predictions))
+    return bnn.likelihood.aggregate_predictions(stacked) if aggregate else stacked
+
+
+def _looped_predict(bnn, x, num_predictions, aggregate=True):
+    """The reference oracle: one traced ``guided_forward`` per sample."""
+    with nn.no_grad():
+        predictions = [bnn.guided_forward(Tensor(x)).data for _ in range(num_predictions)]
+    return _aggregate(bnn, predictions, aggregate)
+
+
+def _looped_mcmc_predict(bnn, x, num_predictions, aggregate=True):
+    """The MCMC oracle: one forward per selected stored posterior sample."""
+    indices = bnn._prediction_indices(bnn.num_posterior_samples, num_predictions)
+    with nn.no_grad():
+        predictions = [bnn.guided_forward(Tensor(x), sample_index=int(i)).data
+                       for i in indices]
+    return _aggregate(bnn, predictions, aggregate)
 
 
 def _mlp(rng, in_dim=1, hidden=16, out_dim=1):
@@ -57,9 +82,9 @@ class TestVariationalPredictEquivalence:
         bnn = _regression_bnn(rng, len(x))
         bnn.predict(x, num_predictions=1)  # instantiate guide parameters
         ppl.set_rng_seed(123)
-        looped = bnn.predict(x, num_predictions=16, aggregate=False)
+        looped = _looped_predict(bnn, x, 16, aggregate=False)
         ppl.set_rng_seed(123)
-        vectorized = bnn.predict(x, num_predictions=16, aggregate=False, vectorized=True)
+        vectorized = bnn.predict(x, num_predictions=16, aggregate=False)
         assert vectorized.shape == looped.shape == (16, 40, 1)
         np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
 
@@ -69,14 +94,16 @@ class TestVariationalPredictEquivalence:
         bnn = _regression_bnn(rng, len(x))
         bnn.predict(x, num_predictions=1)
         ppl.set_rng_seed(7)
-        agg_looped = bnn.predict(x, num_predictions=8)
+        agg_looped = _looped_predict(bnn, x, 8)
         ppl.set_rng_seed(7)
-        agg_vec = bnn.predict(x, num_predictions=8, vectorized=True)
+        agg_vec = bnn.predict(x, num_predictions=8)
         np.testing.assert_allclose(agg_vec.data, agg_looped.data, atol=ATOL, rtol=0)
         ppl.set_rng_seed(7)
-        ll_l, err_l = bnn.evaluate(x, y, num_predictions=8)
+        agg_looped = _looped_predict(bnn, x, 8)
+        ll_l = bnn.likelihood.log_likelihood(agg_looped, y)
+        err_l = bnn.likelihood.error(agg_looped, y)
         ppl.set_rng_seed(7)
-        ll_v, err_v = bnn.evaluate(x, y, num_predictions=8, vectorized=True)
+        ll_v, err_v = bnn.evaluate(x, y, num_predictions=8)
         assert ll_v == pytest.approx(ll_l, abs=ATOL)
         assert err_v == pytest.approx(err_l, abs=ATOL)
 
@@ -85,14 +112,14 @@ class TestVariationalPredictEquivalence:
         bnn = _classification_bnn(rng, len(x))
         bnn.predict(x, num_predictions=1)
         ppl.set_rng_seed(5)
-        looped = bnn.predict(x, num_predictions=12, aggregate=False)
+        looped = _looped_predict(bnn, x, 12, aggregate=False)
         ppl.set_rng_seed(5)
-        vectorized = bnn.predict(x, num_predictions=12, aggregate=False, vectorized=True)
+        vectorized = bnn.predict(x, num_predictions=12, aggregate=False)
         np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
         ppl.set_rng_seed(5)
-        agg_l = bnn.predict(x, num_predictions=12)
+        agg_l = _looped_predict(bnn, x, 12)
         ppl.set_rng_seed(5)
-        agg_v = bnn.predict(x, num_predictions=12, vectorized=True)
+        agg_v = bnn.predict(x, num_predictions=12)
         np.testing.assert_allclose(agg_v.data, agg_l.data, atol=ATOL, rtol=0)
 
     def test_fresh_guide_first_call_matches_looped(self, rng):
@@ -106,8 +133,8 @@ class TestVariationalPredictEquivalence:
             ppl.set_rng_seed(seed)
             return _regression_bnn(np.random.default_rng(2), len(x))
 
-        looped = fresh(9).predict(x, num_predictions=4, aggregate=False)
-        vectorized = fresh(9).predict(x, num_predictions=4, aggregate=False, vectorized=True)
+        looped = _looped_predict(fresh(9), x, 4, aggregate=False)
+        vectorized = fresh(9).predict(x, num_predictions=4, aggregate=False)
         np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
 
     def test_frozen_loc_guide_matches_looped(self, rng):
@@ -117,9 +144,9 @@ class TestVariationalPredictEquivalence:
                                                          "max_guide_scale": 0.1})
         bnn.predict(x, num_predictions=1)
         ppl.set_rng_seed(3)
-        looped = bnn.predict(x, num_predictions=4, aggregate=False)
+        looped = _looped_predict(bnn, x, 4, aggregate=False)
         ppl.set_rng_seed(3)
-        vectorized = bnn.predict(x, num_predictions=4, aggregate=False, vectorized=True)
+        vectorized = bnn.predict(x, num_predictions=4, aggregate=False)
         np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
 
 
@@ -237,9 +264,9 @@ class TestVectorizedGuideCoverage:
                 ppl.poutine.block(model, hide=["0.bias"])))
         bnn.predict(x, num_predictions=1)
         ppl.set_rng_seed(17)
-        looped = bnn.predict(x, num_predictions=4, aggregate=False)
+        looped = _looped_predict(bnn, x, 4, aggregate=False)
         ppl.set_rng_seed(17)
-        vectorized = bnn.predict(x, num_predictions=4, aggregate=False, vectorized=True)
+        vectorized = bnn.predict(x, num_predictions=4, aggregate=False)
         np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
         # the uncovered site's prior draws must differ per sample: the
         # predictions may not collapse onto one shared weight draw
@@ -258,11 +285,11 @@ class TestVectorizedGuideCoverage:
                 ppl.poutine.block(model, hide=["0.bias"]), init_scale=0.05))
         bnn.predict(x, num_predictions=1)
         ppl.set_rng_seed(23)
-        looped = bnn.predict(x, num_predictions=1, aggregate=False)
+        looped = _looped_predict(bnn, x, 1, aggregate=False)
         ppl.set_rng_seed(23)
-        vectorized = bnn.predict(x, num_predictions=1, aggregate=False, vectorized=True)
+        vectorized = bnn.predict(x, num_predictions=1, aggregate=False)
         np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
-        stack = bnn.predict(x, num_predictions=64, aggregate=False, vectorized=True)
+        stack = bnn.predict(x, num_predictions=64, aggregate=False)
         assert stack.shape == (64, 6, 1)
         assert float(stack.data.std(axis=0).mean()) > 0
         # posterior_weight_samples completes uncovered sites from the prior
@@ -282,11 +309,101 @@ class TestConvNetPredictEquivalence:
                                   partial(tyxe.guides.AutoNormal, init_scale=0.05))
         bnn.predict(x, num_predictions=1)
         ppl.set_rng_seed(21)
-        looped = bnn.predict(x, num_predictions=6, aggregate=False)
+        looped = _looped_predict(bnn, x, 6, aggregate=False)
         ppl.set_rng_seed(21)
-        vectorized = bnn.predict(x, num_predictions=6, aggregate=False, vectorized=True)
+        vectorized = bnn.predict(x, num_predictions=6, aggregate=False)
         assert vectorized.shape == (6, 4, 3)
         np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
+
+
+class TestPartiallyBayesianPredict:
+    def test_deterministic_conv_body_before_flatten_and_bayesian_head(self, rng):
+        # the body's activations carry no sample axis of their own; Flatten
+        # still has to see the (S, N, ...) layout the Bayesian head expects
+        net = nn.Sequential(nn.Conv2d(1, 3, 3, rng=rng), nn.ReLU(), nn.MaxPool2d(2),
+                            nn.Flatten(), nn.Linear(3 * 3 * 3, 4, rng=rng))
+        prior = tyxe.priors.IIDPrior(dist.Normal(0.0, 1.0), expose_all=False,
+                                     hide_all=True, expose_modules=[net[4]])
+        bnn = tyxe.VariationalBNN(net, prior, tyxe.likelihoods.Categorical(5),
+                                  partial(tyxe.guides.AutoNormal, init_scale=0.05))
+        assert set(bnn.param_dists) == {"4.weight", "4.bias"}
+        x = rng.standard_normal((5, 1, 8, 8))
+        bnn.predict(x, num_predictions=1)
+        ppl.set_rng_seed(12)
+        looped = _looped_predict(bnn, x, 6, aggregate=False)
+        ppl.set_rng_seed(12)
+        vectorized = bnn.predict(x, num_predictions=6, aggregate=False)
+        assert vectorized.shape == (6, 5, 4)
+        np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
+        # the serving entry point is the same forward
+        ppl.set_rng_seed(12)
+        draws = bnn.posterior_weight_samples(6, Tensor(x))
+        served = bnn.predict_with_samples(x, draws, aggregate=False)
+        np.testing.assert_allclose(served.data, looped.data, atol=ATOL, rtol=0)
+        ppl.set_rng_seed(12)
+        agg_l = _looped_predict(bnn, x, 6)
+        ppl.set_rng_seed(12)
+        agg_v = bnn.predict(x, num_predictions=6)
+        np.testing.assert_allclose(agg_v.data, agg_l.data, atol=ATOL, rtol=0)
+
+    def test_net_without_bayesian_sites_keeps_sample_and_data_axes(self, rng):
+        net = _mlp(rng, in_dim=2, hidden=5, out_dim=3)
+        prior = tyxe.priors.IIDPrior(dist.Normal(0.0, 1.0), expose_all=False, hide_all=True)
+        bnn = tyxe.VariationalBNN(net, prior, tyxe.likelihoods.Categorical(6),
+                                  partial(tyxe.guides.AutoNormal, init_scale=0.05))
+        assert not bnn.param_dists
+        x = rng.standard_normal((6, 2))
+        raw = bnn.predict(x, num_predictions=4, aggregate=False)
+        agg = bnn.predict(x, num_predictions=4)
+        assert raw.shape == (4, 6, 3)
+        assert agg.shape == (6, 3)
+        assert bnn.predict_with_samples(x, {}, aggregate=False, num_samples=4).shape == (4, 6, 3)
+        with pytest.raises(ValueError, match="num_samples"):
+            bnn.predict_with_samples(x, {})
+        with nn.no_grad():
+            logits = net(Tensor(x)).data
+        for sample in raw.data:
+            np.testing.assert_allclose(sample, logits, atol=ATOL, rtol=0)
+
+
+class TestPredictArguments:
+    def test_variational_rejects_non_positive_num_predictions(self, rng):
+        x = rng.standard_normal((5, 1))
+        bnn = _regression_bnn(rng, len(x))
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="num_predictions"):
+                bnn.predict(x, num_predictions=bad)
+        with pytest.raises(ValueError, match="num_predictions"):
+            bnn.evaluate(x, np.sin(x), num_predictions=0)
+
+    def test_grouped_rejects_non_positive_num_predictions(self, rng):
+        bnn = _regression_bnn(rng, 5)
+        with pytest.raises(ValueError, match="num_predictions"):
+            bnn.predict_grouped(rng.standard_normal((2, 5, 1)), num_predictions=0)
+
+    def test_mcmc_rejects_non_positive_num_predictions(self, rng):
+        # a mean over zero samples would be an all-NaN aggregate
+        net = _mlp(rng, in_dim=2, hidden=4, out_dim=2)
+        bnn = tyxe.MCMC_BNN(net, tyxe.priors.IIDPrior(dist.Normal(0.0, 1.0)),
+                            tyxe.likelihoods.Categorical(10),
+                            kernel_builder=lambda model: None)
+        bnn._weight_samples = {name: rng.standard_normal((3,) + net.get_parameter(name).shape)
+                               for name in bnn.param_dists}
+        with pytest.raises(ValueError, match="num_predictions"):
+            bnn.predict(rng.standard_normal((4, 2)), num_predictions=0)
+
+    def test_vectorized_false_is_rejected(self, rng):
+        x = rng.standard_normal((5, 1))
+        bnn = _regression_bnn(rng, len(x))
+        with pytest.raises(ValueError, match="guided_forward"):
+            bnn.predict(x, num_predictions=2, vectorized=False)
+        # True is still accepted, and is the one path
+        bnn.predict(x, num_predictions=1)  # instantiate guide parameters
+        ppl.set_rng_seed(2)
+        explicit = bnn.predict(x, num_predictions=2, vectorized=True)
+        ppl.set_rng_seed(2)
+        np.testing.assert_array_equal(explicit.data,
+                                      bnn.predict(x, num_predictions=2).data)
 
 
 class TestPytorchBNNVectorizedForward:
@@ -347,8 +464,7 @@ class TestPredictGroupedEquivalence:
         bnn = _classification_bnn(rng, 12)
         bnn.predict(x[0], num_predictions=1)
         ppl.set_rng_seed(6)
-        looped = [bnn.predict(x[g], num_predictions=5, aggregate=False).data
-                  for g in range(3)]
+        looped = [_looped_predict(bnn, x[g], 5, aggregate=False).data for g in range(3)]
         ppl.set_rng_seed(6)
         grouped = bnn.predict_grouped(x, num_predictions=5, aggregate=False)
         assert grouped.shape == (3, 5, 12, 3)
@@ -359,7 +475,7 @@ class TestPredictGroupedEquivalence:
         bnn = _regression_bnn(rng, 9)
         bnn.predict(x[0], num_predictions=1)
         ppl.set_rng_seed(14)
-        looped = [bnn.predict(x[g], num_predictions=6).data for g in range(4)]
+        looped = [_looped_predict(bnn, x[g], 6).data for g in range(4)]
         ppl.set_rng_seed(14)
         grouped = bnn.predict_grouped(x, num_predictions=6)
         np.testing.assert_allclose(grouped.data, np.stack(looped), atol=ATOL, rtol=0)
@@ -369,6 +485,17 @@ class TestPredictGroupedEquivalence:
         bnn.predict(rng.standard_normal((5, 1)), num_predictions=1)
         with pytest.raises(ValueError):
             bnn.predict_grouped(np.zeros(3), num_predictions=2)
+
+
+def _looped_task_accuracies(bnn, net, tasks, num_predictions):
+    """The continual-learning oracle: a ``guided_forward`` loop per task."""
+    accuracies = []
+    for task in tasks:
+        net.set_active_task(task.task_id)
+        agg = _looped_predict(bnn, task.test_inputs, num_predictions)
+        accuracies.append(metrics.accuracy(metrics.as_probs(agg, from_logits=True),
+                                           task.test_labels))
+    return accuracies
 
 
 class TestContinualEvaluationEquivalence:
@@ -394,9 +521,9 @@ class TestContinualEvaluationEquivalence:
 
         tasks, net, bnn = self._tasks_and_bnn(suite)
         ppl.set_rng_seed(9)
-        looped = _evaluate_task_accuracies(bnn, net, tasks, 4, vectorized=False)
+        looped = _looped_task_accuracies(bnn, net, tasks, 4)
         ppl.set_rng_seed(9)
-        vectorized = _evaluate_task_accuracies(bnn, net, tasks, 4, vectorized=True)
+        vectorized = _evaluate_task_accuracies(bnn, net, tasks, 4)
         assert looped == vectorized
 
     def test_mismatched_test_set_sizes_fall_back_to_per_task(self):
@@ -406,23 +533,23 @@ class TestContinualEvaluationEquivalence:
         tasks[0].test_inputs = tasks[0].test_inputs[:-1]
         tasks[0].test_labels = tasks[0].test_labels[:-1]
         ppl.set_rng_seed(21)
-        looped = _evaluate_task_accuracies(bnn, net, tasks, 3, vectorized=False)
+        looped = _looped_task_accuracies(bnn, net, tasks, 3)
         ppl.set_rng_seed(21)
-        vectorized = _evaluate_task_accuracies(bnn, net, tasks, 3, vectorized=True)
+        vectorized = _evaluate_task_accuracies(bnn, net, tasks, 3)
         assert looped == vectorized
 
     def test_multi_head_shares_one_batched_forward(self):
         # single_head=False: the head-indexed batched forward (task schedule)
-        # must agree with the looped reference and with the legacy per-task
-        # predict(vectorized=True) fallback exactly, logits included
+        # must agree with the looped reference and with the per-task
+        # predict fallback exactly, logits included
         from repro.experiments.continual import _evaluate_task_accuracies
 
         tasks, net, bnn = self._tasks_and_bnn("mnist", single_head=False)
         assert len(net.heads) == len(tasks) > 1
         ppl.set_rng_seed(33)
-        looped = _evaluate_task_accuracies(bnn, net, tasks, 4, vectorized=False)
+        looped = _looped_task_accuracies(bnn, net, tasks, 4)
         ppl.set_rng_seed(33)
-        vectorized = _evaluate_task_accuracies(bnn, net, tasks, 4, vectorized=True)
+        vectorized = _evaluate_task_accuracies(bnn, net, tasks, 4)
         assert looped == vectorized
 
         ppl.set_rng_seed(33)
@@ -430,7 +557,7 @@ class TestContinualEvaluationEquivalence:
         for task in tasks:
             net.set_active_task(task.task_id)
             per_task.append(bnn.predict(nn.Tensor(task.test_inputs), num_predictions=4,
-                                        aggregate=False, vectorized=True).data)
+                                        aggregate=False).data)
         ppl.set_rng_seed(33)
         net.set_task_schedule(np.repeat([t.task_id for t in tasks], 4))
         try:
@@ -464,11 +591,11 @@ class TestMCMCPredictEquivalence:
     def test_predict_matches_looped(self, rng):
         bnn = self._bnn_with_samples(rng)
         x = rng.standard_normal((15, 2))
-        looped = bnn.predict(x, num_predictions=5, aggregate=False)
-        vectorized = bnn.predict(x, num_predictions=5, aggregate=False, vectorized=True)
+        looped = _looped_mcmc_predict(bnn, x, 5, aggregate=False)
+        vectorized = bnn.predict(x, num_predictions=5, aggregate=False)
         np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
-        agg_l = bnn.predict(x, num_predictions=5)
-        agg_v = bnn.predict(x, num_predictions=5, vectorized=True)
+        agg_l = _looped_mcmc_predict(bnn, x, 5)
+        agg_v = bnn.predict(x, num_predictions=5)
         np.testing.assert_allclose(agg_v.data, agg_l.data, atol=ATOL, rtol=0)
 
 

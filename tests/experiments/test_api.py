@@ -59,8 +59,8 @@ class TestRegistry:
             assert fast.fast is True
             default = spec.config_cls()
             assert default.fast is False
-            # the batched evaluation engine is the default everywhere
-            assert default.vectorized_eval is True
+            # evaluation has one (batched) path: no engine-selection knob
+            assert "vectorized_eval" not in default.to_dict()
 
     def test_unknown_id_raises_with_known_ids(self):
         with pytest.raises(KeyError, match="fig1-regression"):
@@ -76,12 +76,12 @@ class TestConfigProtocol:
     def test_typed_overrides(self):
         spec = get_experiment("fig1-regression")
         config = spec.make_config(overrides={"num_epochs": "7", "learning_rate": "0.5",
-                                             "panels": "hmc", "vectorized_eval": "false",
+                                             "panels": "hmc", "fast": "true",
                                              "output_dir": "none"})
         assert config.num_epochs == 7 and isinstance(config.num_epochs, int)
         assert config.learning_rate == 0.5
         assert config.panels == "hmc"
-        assert config.vectorized_eval is False
+        assert config.fast is True
         assert config.output_dir is None
 
     def test_unknown_override_key_rejected(self):
@@ -92,7 +92,12 @@ class TestConfigProtocol:
     def test_bad_boolean_override_rejected(self):
         spec = get_experiment("fig3-nerf")
         with pytest.raises(ValueError, match="boolean"):
-            spec.make_config(overrides={"vectorized_eval": "maybe"})
+            spec.make_config(overrides={"fast": "maybe"})
+
+    def test_retired_vectorized_eval_override_rejected(self):
+        spec = get_experiment("fig3-nerf")
+        with pytest.raises(ValueError, match="no field"):
+            spec.make_config(overrides={"vectorized_eval": "false"})
 
     def test_parse_overrides(self):
         assert parse_overrides(["a=1", "b=x=y"]) == {"a": "1", "b": "x=y"}
@@ -123,6 +128,21 @@ class TestConfigProtocol:
             config = spec.make_config(fast=True)
             rebuilt = spec.config_cls.from_dict(config.to_dict())
             assert rebuilt == config
+
+    @pytest.mark.parametrize("echo", [True, False])
+    def test_config_echo_with_retired_vectorized_eval_loads(self, echo):
+        # artifacts, snapshots and journals written while the field existed
+        # echo it; a boolean is dropped (every evaluation now runs batched)
+        for spec in all_experiments():
+            config = spec.make_config(fast=True)
+            data = dict(config.to_dict(), vectorized_eval=echo)
+            assert spec.config_cls.from_dict(data) == config
+
+    def test_config_echo_with_non_boolean_vectorized_eval_rejected(self):
+        spec = get_experiment("fig1-regression")
+        data = dict(spec.make_config(fast=True).to_dict(), vectorized_eval="false")
+        with pytest.raises(ValueError, match="vectorized_eval"):
+            spec.config_cls.from_dict(data)
 
     def test_seed_all_is_shared_idiom(self):
         config = get_experiment("fig1-regression").make_config(overrides={"seed": 123})
