@@ -2,7 +2,7 @@
 
 Every kernel call in ``repro.nn`` goes through
 ``repro.nn.backends.get_backend()``.  Dispatch is one attribute lookup per
-realized kernel — it must be noise, not a tax.  The gate times a
+kernel call — it must be noise, not a tax.  The gate times a
 matmul+elementwise chain through the Tensor layer against a raw-numpy
 transcription of the exact same op sequence and requires the dispatched
 path to stay within 10% (speedup floor 0.9x; ``REPRO_PERF_RELAX=1`` relaxes

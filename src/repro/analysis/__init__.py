@@ -6,10 +6,10 @@ Two complementary passes, both purely static (no experiment is trained):
     (R001-R008) catching the defect classes that previous PRs could only fix
     *after* a runtime path exposed them: RNG draws that escape
     ``repro.ppl.rng.set_rng_seed``, duplicate / dynamically-formatted sample
-    sites, eager ``.data`` materialization in lazy-graph hot paths, runners
-    that never seed, sized-context violations of the vectorized engine,
-    silent exception swallowing, blocking calls in async handlers, and
-    numpy kernel calls that bypass the ``repro.nn.backends`` seam.
+    sites, runners that never seed, sized-context violations of the
+    vectorized engine, silent exception swallowing, blocking calls in async
+    handlers, and numpy kernel calls that bypass the ``repro.nn.backends``
+    seam.
     Run it as ``repro lint [paths]``; suppress single findings with a
     trailing ``# repro: noqa[R001]`` comment or a whole file with the same
     directive on a comment-only line.

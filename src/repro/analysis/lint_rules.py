@@ -1,9 +1,10 @@
-"""The built-in repo-specific lint rules (R001-R008).
+"""The built-in repo-specific lint rules (R001-R008; R003 is retired).
 
 Each rule targets a defect class that a previous PR had to fix *after* a
 runtime path exposed it; the rules make the next instance a static finding.
-Importing this module registers every rule with the plugin framework in
-:mod:`repro.analysis.rules`.
+Rule ids are never reused: R003 (eager materialization in hot paths) was
+retired when ``repro.nn`` became fully eager.  Importing this module
+registers every rule with the plugin framework in :mod:`repro.analysis.rules`.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from .findings import ERROR, WARNING, Finding
 from .rules import (FileContext, LintRule, attr_chain, register_rule,
                     scope_statements)
 
-__all__ = ["RngDisciplineRule", "SampleSiteNameRule", "EagerMaterializationRule",
-           "SeedBeforeSamplingRule", "SizedVectorizedContextRule",
-           "SilentExceptionSwallowRule", "AsyncBlockingCallRule",
-           "BackendBypassRule"]
+__all__ = ["RngDisciplineRule", "SampleSiteNameRule", "SeedBeforeSamplingRule",
+           "SizedVectorizedContextRule", "SilentExceptionSwallowRule",
+           "AsyncBlockingCallRule", "BackendBypassRule"]
 
 _NUMPY_ALIASES = ("np", "numpy")
 
@@ -144,82 +144,6 @@ class SampleSiteNameRule(LintRule):
                         "duplicate/coverage checking — use a literal, or pass "
                         "a pre-built variable and suppress with "
                         "# repro: noqa[R002] where the formatting is deliberate")
-
-
-_HOT_PACKAGES = frozenset({"nn", "ppl", "render"})
-_MATERIALIZERS = frozenset({"asarray", "array"})
-
-
-def _in_hot_package(ctx: FileContext) -> bool:
-    parts = ctx.path.parts
-    for index, part in enumerate(parts):
-        if part == "repro" and set(parts[index + 1:]) & _HOT_PACKAGES:
-            return True
-    return False
-
-
-@register_rule
-class EagerMaterializationRule(LintRule):
-    """R003: no eager ``.data`` / ``np.asarray`` materialization in hot paths.
-
-    Inside ``repro/nn``, ``repro/ppl`` and ``repro/render`` — the packages the
-    lazy-graph ROADMAP item will rebuild around deferred op graphs —
-    materializing a *freshly computed* value (``f(...).data``,
-    ``np.asarray(f(...))``, ``f(...).numpy()``) forces evaluation at that op
-    and severs the autograd/op-graph chain.  Reading ``.data`` from a bound
-    name (exports, I/O boundaries) stays legal; the rule only fires on call
-    results, where the intermediate graph is discarded before anything else
-    can see it.  ``.numpy()`` on a call result is additionally exempt inside
-    ``return`` statements — a returned array is a leaf leaving the hot path,
-    not an intermediate that silently breaks fusion.
-    Files outside the three hot-path packages are exempt.
-    """
-
-    rule_id = "R003"
-    severity = WARNING
-    description = ("eager .data / np.asarray / .numpy() materialization of a "
-                   "freshly computed value inside a repro/nn|ppl|render hot "
-                   "path")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not _in_hot_package(ctx):
-            return
-        in_return = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Return) and node.value is not None:
-                for child in ast.walk(node.value):
-                    in_return.add(id(child))
-        for node in ast.walk(ctx.tree):
-            if (isinstance(node, ast.Call) and not node.args
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "numpy"
-                    and isinstance(node.func.value, ast.Call)
-                    and id(node) not in in_return):
-                yield self.finding(
-                    ctx, node,
-                    ".numpy() on an intermediate call result forces "
-                    "realization mid-chain and silently breaks elementwise "
-                    "fusion; bind the tensor and realize it at the boundary "
-                    "(or return it) instead")
-                continue
-            if (isinstance(node, ast.Attribute) and node.attr == "data"
-                    and isinstance(node.value, ast.Call)):
-                yield self.finding(
-                    ctx, node,
-                    ".data on a call result materializes the value eagerly and "
-                    "discards its op graph; bind the tensor first (or keep the "
-                    "computation in Tensor ops) so the lazy-graph engine can "
-                    "defer it")
-            elif isinstance(node, ast.Call) and node.args:
-                chain = attr_chain(node.func)
-                if (len(chain) == 2 and chain[0] in _NUMPY_ALIASES
-                        and chain[1] in _MATERIALIZERS
-                        and isinstance(node.args[0], ast.Call)):
-                    yield self.finding(
-                        ctx, node,
-                        f"np.{chain[1]}() on a call result materializes the "
-                        "value eagerly in a hot path; bind it first or stay in "
-                        "Tensor ops")
 
 
 def _module_functions(tree: ast.Module) -> Dict[str, ast.FunctionDef]:
@@ -422,8 +346,8 @@ class SilentExceptionSwallowRule(LintRule):
                 "cleanup with # repro: noqa[R006]")
 
 
-#: event-loop-blocking attribute calls: sync path/file I/O plus tensor
-#: realization (``.numpy()`` may force a full lazy-graph evaluation)
+#: event-loop-blocking attribute calls: sync path/file I/O plus ``.numpy()``,
+#: the hand-off point of tensor compute that belongs in the executor
 _BLOCKING_METHODS = frozenset({"read_text", "write_text", "read_bytes",
                                "write_bytes", "numpy"})
 
@@ -442,12 +366,12 @@ class AsyncBlockingCallRule(LintRule):
 
     The serving layer coalesces requests on a single asyncio event loop; one
     blocking call inside an ``async def`` — ``time.sleep``, synchronous file
-    I/O (``open``, ``Path.read_text``-family) or ``.numpy()`` realization of
-    an unrealized tensor — stalls *every* in-flight request for its full
-    duration, which is precisely the tail-latency defect the micro-batching
-    benchmark gates against.  Sleep via ``await asyncio.sleep``, do file I/O
-    before the loop starts (or in ``run_in_executor``), and realize tensors
-    in the batcher's executor.  Nested synchronous ``def`` helpers are exempt
+    I/O (``open``, ``Path.read_text``-family) or tensor work ending in
+    ``.numpy()`` — stalls *every* in-flight request for its full duration,
+    which is precisely the tail-latency defect the micro-batching benchmark
+    gates against.  Sleep via ``await asyncio.sleep``, do file I/O before
+    the loop starts (or in ``run_in_executor``), and run tensor compute in
+    the batcher's executor.  Nested synchronous ``def`` helpers are exempt
     (they run wherever they are called from); deliberate cases take
     ``# repro: noqa[R007]``.  Files outside ``repro/serve`` are exempt.
     """
@@ -481,7 +405,7 @@ class AsyncBlockingCallRule(LintRule):
                         "the event loop — load files before serving starts, "
                         "or run the I/O in an executor")
                 elif (len(chain) >= 2 and chain[-1] in _BLOCKING_METHODS):
-                    what = ("tensor realization" if chain[-1] == "numpy"
+                    what = ("tensor work" if chain[-1] == "numpy"
                             else "synchronous file I/O")
                     yield self.finding(
                         ctx, node,
@@ -553,9 +477,8 @@ class BackendBypassRule(LintRule):
                 yield self.finding(
                     ctx, node,
                     f"np.{chain[1]}() is a compute kernel with a backend "
-                    "route; dispatch through repro.nn.backends (get_backend() "
-                    "or lazy.compute_eager) so a substituted backend sees "
-                    "every kernel")
+                    "route; dispatch through repro.nn.backends.get_backend() "
+                    "so a substituted backend sees every kernel")
             elif (chain[-2:] == ("stride_tricks", "as_strided")
                   and chain[0] in _NUMPY_ALIASES) or chain == ("as_strided",):
                 yield self.finding(

@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--no-artifact", action="store_true",
                          help="do not write the JSON artifact")
         sub.add_argument("--verbose", action="store_true",
-                         help="print lazy op-graph stats (ops recorded/fused, "
-                              "buffers elided, realizations) after the run")
+                         help="print the full traceback when `repro run` fails "
+                              "(run-all reports each failure on one line)")
 
     run = subparsers.add_parser("run", help="run one experiment by id")
     run.add_argument("experiment_id", metavar="id",
@@ -215,20 +215,6 @@ def _collect_overrides(args: argparse.Namespace) -> Dict[str, Any]:
     return overrides
 
 
-def _print_graph_stats(before: Dict[str, int], stream) -> None:
-    from ...nn import lazy
-
-    delta = {key: value - before.get(key, 0)
-             for key, value in lazy.graph_stats().items()}
-    print("  lazy graph: "
-          f"{delta['ops_recorded']} ops recorded, {delta['ops_fused']} fused, "
-          f"{delta['buffers_elided']} buffers elided, "
-          f"{delta['ops_evaluated']} evaluated in "
-          f"{delta['realizations']} realizations "
-          f"({'on' if lazy.lazy_enabled() else 'off (REPRO_LAZY=0)'})",
-          file=stream)
-
-
 def _print_result(spec, result, stream) -> None:
     print(f"[{spec.number}] {spec.experiment_id} ({spec.artefact}) "
           f"finished in {result.wall_clock_seconds:.1f}s", file=stream)
@@ -270,10 +256,6 @@ def _cmd_run(args: argparse.Namespace, stream) -> int:
     except ValueError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
-    if args.verbose:
-        from ...nn import lazy
-
-        stats_before = lazy.graph_stats()
     try:
         result = spec.run(config)
     except Exception as exc:  # runner failure: one-line diagnostic, exit 1
@@ -283,8 +265,6 @@ def _cmd_run(args: argparse.Namespace, stream) -> int:
               file=sys.stderr)
         return 1
     _print_result(spec, result, stream)
-    if args.verbose:
-        _print_graph_stats(stats_before, stream)
     return 0
 
 
@@ -327,11 +307,6 @@ def _cmd_run_all(args: argparse.Namespace, stream) -> int:
                       cell_id=spec.experiment_id, key=spec.experiment_id)
              for index, spec in enumerate(specs)]
 
-    if args.verbose and args.workers == 0:
-        from ...nn import lazy
-
-        stats_before = lazy.graph_stats()
-
     def on_event(kind: str, cell, **info) -> None:
         if kind == "attempt-failed":
             note = (f" (attempt {info['attempt']}, retrying in {info['delay']:.1f}s)"
@@ -346,8 +321,6 @@ def _cmd_run_all(args: argparse.Namespace, stream) -> int:
                        resume=args.resume, start_method=args.start_method,
                        resolve=lambda experiment_id: spec_map[experiment_id],
                        on_event=on_event)
-    if args.verbose and args.workers == 0:
-        _print_graph_stats(stats_before, stream)
 
     skips = sum(1 for o in outcomes if o.status == SKIPPED)
     passed = sum(1 for o in outcomes if o.status in (PASS, SKIPPED))

@@ -9,7 +9,6 @@ verbatim.
 from . import backends
 from . import functional
 from . import init
-from . import lazy
 from . import models
 from .functional import sample_ndim, sample_sizes, vectorized_samples
 from .data import DataLoader, Dataset, Subset, TensorDataset, random_split
@@ -38,5 +37,5 @@ __all__ = [
     # vectorized-sample execution mode
     "sample_ndim", "sample_sizes", "vectorized_samples",
     # submodules
-    "backends", "functional", "init", "lazy", "models",
+    "backends", "functional", "init", "models",
 ]

@@ -1,11 +1,11 @@
 """The compute-kernel seam of :mod:`repro.nn`.
 
-The lazy engine shrank the realization surface of the whole tensor layer to
-a small kernel table: the elementwise ops in ``repro.nn.lazy.ELEMENTWISE_OPS``
-plus a handful of eager kernel entry points (matmul, im2col/col2im
-convolution, pooling windowing, reductions, cumsum).  A :class:`Backend`
-implements exactly that surface, and every kernel call in ``repro.nn``
-dispatches through :func:`get_backend`.
+Everything the tensor layer computes goes through a small kernel surface:
+the elementwise table (``NumpyBackend.elementwise``: ``add``, ``exp``,
+``sigmoid``, ``clamp``, ...) plus matmul, im2col/col2im convolution, pooling
+windowing, reductions and cumsum.  A :class:`Backend` implements exactly
+that surface, and every kernel call in ``repro.nn`` dispatches through
+:func:`get_backend`.
 
 ``numpy`` (:class:`NumpyBackend`) is the one built-in backend and the active
 one by default.  The seam exists so a test or a profiler can *substitute* a
@@ -16,11 +16,9 @@ timing), so results stay bit-identical to an unsubstituted run.
 
 Contracts every backend must honor:
 
-* ``elementwise`` maps every ``ELEMENTWISE_OPS`` key to a kernel with the
-  scheduler signature ``(srcs, params, out=None) -> np.ndarray``.  When the
-  fusion pass passes ``out=`` (a dead temporary), the kernel must write the
-  result into that buffer and return it.  A backend missing a key is
-  rejected when :func:`backend_mode` activates it.
+* ``elementwise`` maps every key of ``NumpyBackend.elementwise`` to a kernel
+  ``(srcs, params) -> np.ndarray`` that returns a new array.  A backend
+  missing a key is rejected when :func:`backend_mode` activates it.
 * Kernel entry points take and return **numpy** arrays with numpy
   dtype/shape semantics.
 """
@@ -45,7 +43,7 @@ class Backend:
     """The kernel surface of :mod:`repro.nn` (see the module docstring).
 
     Subclasses set :attr:`name`, fill :attr:`elementwise` with one kernel per
-    ``repro.nn.lazy.ELEMENTWISE_OPS`` key, and implement every method below
+    ``NumpyBackend.elementwise`` key, and implement every method below
     (usually by delegating to :class:`NumpyBackend`).  All arguments and
     results are numpy arrays.
     """
@@ -53,8 +51,7 @@ class Backend:
     #: registry id (``"numpy"``, or the name a substitute registers under)
     name: str = ""
 
-    #: op id -> ``(srcs, params, out=None) -> np.ndarray`` kernel table; the
-    #: ``out=`` in-place contract is what makes the fusion pass work.
+    #: op id -> ``(srcs, params) -> np.ndarray`` kernel table
     elementwise: Mapping[str, Callable] = {}
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,10 +113,7 @@ def register_backend(name: str, factory: Callable[[], Backend]) -> None:
 
 
 def _validate(backend: Backend) -> None:
-    # deferred import: lazy.py imports this package at module level
-    from ..lazy import ELEMENTWISE_OPS
-
-    missing = sorted(set(ELEMENTWISE_OPS) - set(backend.elementwise))
+    missing = sorted(set(NumpyBackend.elementwise) - set(backend.elementwise))
     if missing:
         raise ValueError(
             f"backend {backend.name!r} is missing elementwise kernels: {missing}")

@@ -1,12 +1,13 @@
-"""Reference backend: the pre-backend numpy kernels, moved here verbatim.
+"""Reference backend: plain numpy/scipy kernels.
 
 This file is the bit-identity anchor.  Every kernel below is exactly the
-code that lived inline in ``repro.nn.lazy`` (elementwise table),
-``repro.nn.functional`` (im2col/col2im, pooling windows) and
-``repro.nn.tensor`` (matmul, reductions, cumsum) before the backend seam
-existed, so dispatching through :class:`NumpyBackend` produces byte-for-byte
-the same arrays the monolithic code did — ``tests/nn/test_backends.py``
-pins that.
+code ``repro.nn`` ran inline — the elementwise ufuncs, im2col/col2im and
+pooling windows (``repro.nn.functional``), matmul, reductions and cumsum
+(``repro.nn.tensor``) — before the backend seam existed, so dispatching
+through :class:`NumpyBackend` produces byte-for-byte the same arrays the
+monolithic code did — ``tests/nn/test_backends.py`` pins that.
+:attr:`NumpyBackend.elementwise` is also the list of elementwise ops every
+backend must provide.
 """
 
 from __future__ import annotations
@@ -20,22 +21,15 @@ from . import Backend
 
 
 def _ufunc1(fn):
-    return lambda srcs, params, out=None: fn(srcs[0], out=out)
+    return lambda srcs, params: fn(srcs[0])
 
 
 def _ufunc2(fn):
-    return lambda srcs, params, out=None: fn(srcs[0], srcs[1], out=out)
+    return lambda srcs, params: fn(srcs[0], srcs[1])
 
 
-def _clone_compute(srcs, params, out=None):
-    if out is None:
-        return srcs[0].copy()
-    np.copyto(out, srcs[0])
-    return out
-
-
-#: the fusable elementwise kernels — ``a + b`` is ``np.add``, ``**`` is
-#: ``np.power``, ... — exactly what the eager engine has always run.
+#: the elementwise kernels — ``a + b`` is ``np.add``, ``**`` is
+#: ``np.power``, ... — exactly what the tensor layer has always run.
 ELEMENTWISE = {
     "add": _ufunc2(np.add),
     "sub": _ufunc2(np.subtract),
@@ -52,13 +46,11 @@ ELEMENTWISE = {
     "cos": _ufunc1(np.cos),
     "erf": _ufunc1(_sp_special.erf),
     "sigmoid": _ufunc1(_sp_special.expit),
-    "softplus": lambda srcs, params, out=None: np.logaddexp(0.0, srcs[0], out=out),
-    "relu": lambda srcs, params, out=None: np.maximum(srcs[0], 0.0, out=out),
-    "pow": lambda srcs, params, out=None: np.power(srcs[0], params["exponent"],
-                                                   out=out),
-    "clamp": lambda srcs, params, out=None: np.clip(srcs[0], params["min"],
-                                                    params["max"], out=out),
-    "clone": _clone_compute,
+    "softplus": lambda srcs, params: np.logaddexp(0.0, srcs[0]),
+    "relu": lambda srcs, params: np.maximum(srcs[0], 0.0),
+    "pow": lambda srcs, params: np.power(srcs[0], params["exponent"]),
+    "clamp": lambda srcs, params: np.clip(srcs[0], params["min"], params["max"]),
+    "clone": lambda srcs, params: srcs[0].copy(),
 }
 
 

@@ -13,8 +13,7 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from . import lazy as _lazy
-from .tensor import Tensor
+from .tensor import Tensor, _elementwise
 
 __all__ = ["Optimizer", "SGD", "Adam", "StepLR", "ExponentialLR"]
 
@@ -114,7 +113,7 @@ class Adam(Optimizer):
                 bias1 = 1 - beta1 ** state["step"]
                 bias2 = 1 - beta2 ** state["step"]
                 step_size = lr * math.sqrt(bias2) / bias1
-                denom = _lazy.compute_eager("sqrt", [v]) + eps
+                denom = _elementwise("sqrt", [v]) + eps
                 p.data -= step_size * m / denom
 
 

@@ -14,13 +14,9 @@ Design notes
   broadcast dimensions by :func:`unbroadcast`.
 * A global gradient-mode flag (:func:`no_grad`, :func:`is_grad_enabled`)
   mirrors ``torch.no_grad()`` so evaluation code can skip tape construction.
-* Elementwise ops on gradient-free tensors are *lazy*: they record a
-  :class:`repro.nn.lazy.LazyOp` node instead of computing, and realization
-  (triggered by ``.data`` / ``.numpy()`` / ``.item()`` access, comparisons,
-  ``backward()``, eager kernel ops, or :meth:`Tensor.realize`) fuses
-  elementwise chains into single buffer passes.  ``REPRO_LAZY=0`` restores
-  fully eager semantics; results are bit-identical either way.  See
-  :mod:`repro.nn.lazy`.
+* Every op computes when it is called, like PyTorch's eager mode.  The
+  kernels themselves (the elementwise table, matmul, reductions, ...) are
+  looked up on the active :mod:`repro.nn.backends` backend at call time.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import lazy as _lazy
 from .backends import get_backend
 
 __all__ = [
@@ -118,36 +113,9 @@ def _shift_right_one(arr: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _resolve_reshape(in_shape: Tuple[int, ...], requested: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Resolve a requested reshape (incl. one ``-1``) against ``in_shape``
-    without touching data, mirroring numpy's validation errors."""
-    total = int(np.prod(in_shape, dtype=np.int64)) if in_shape else 1
-    if requested.count(-1) > 1:
-        raise ValueError("can only specify one unknown dimension")
-    if -1 in requested:
-        known = 1
-        for dim in requested:
-            if dim != -1:
-                known *= dim
-        if known == 0 or total % known:
-            raise ValueError(f"cannot reshape array of size {total} into shape {requested}")
-        return tuple(total // known if dim == -1 else dim for dim in requested)
-    if int(np.prod(requested, dtype=np.int64) if requested else 1) != total:
-        raise ValueError(f"cannot reshape array of size {total} into shape {requested}")
-    return requested
-
-
-def _from_lazy(node: "_lazy.LazyOp", op: str) -> "Tensor":
-    """Wrap a recorded :class:`~repro.nn.lazy.LazyOp` in an unrealized Tensor."""
-    out = Tensor.__new__(Tensor)
-    out._data = None
-    out._lazy = node
-    out.grad = None
-    out.requires_grad = False
-    out._backward = _noop_backward
-    out._prev = ()
-    out._op = op
-    return out
+def _elementwise(op: str, srcs, params: Optional[dict] = None) -> np.ndarray:
+    """Run the active backend's ``op`` kernel over the arrays ``srcs``."""
+    return get_backend().elementwise[op](srcs, params or {})
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -171,9 +139,9 @@ def _noop_backward() -> None:
 
 
 class Tensor:
-    """A NumPy-backed (and lazily evaluated) array node in the autograd graph."""
+    """A NumPy-backed array node in the autograd graph."""
 
-    __slots__ = ("_data", "_lazy", "grad", "requires_grad", "_backward", "_prev", "_op")
+    __slots__ = ("_data", "grad", "requires_grad", "_backward", "_prev", "_op")
 
     __array_priority__ = 1000  # make numpy defer to our __r*__ operators
 
@@ -187,8 +155,7 @@ class Tensor:
         arr = _as_array(data)
         if requires_grad and not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
-        self._data: Optional[np.ndarray] = arr
-        self._lazy: Optional[_lazy.LazyOp] = None
+        self._data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
         # NOTE: explicit requires_grad is honoured even inside no_grad() —
         # like torch, grad mode only controls whether *operations* record the
@@ -202,34 +169,16 @@ class Tensor:
     # ------------------------------------------------------------------ data
     @property
     def data(self) -> np.ndarray:
-        """The underlying array; accessing it realizes any pending lazy graph."""
-        if self._data is None:
-            _lazy.realize(self)
+        """The underlying array (shared, not copied)."""
         return self._data
 
     @data.setter
     def data(self, value) -> None:
         self._data = value if isinstance(value, np.ndarray) else np.asarray(value)
-        self._lazy = None
-
-    def realize(self) -> "Tensor":
-        """Force evaluation of this tensor's lazy graph; returns ``self``."""
-        if self._data is None:
-            _lazy.realize(self)
-        return self
-
-    @property
-    def is_realized(self) -> bool:
-        """False while this tensor is a pending node of the lazy op graph."""
-        return self._data is not None
 
     # ------------------------------------------------------------------ meta
-    # Shape/dtype metadata comes from the lazy node when the tensor is
-    # unrealized, so inspecting it never forces evaluation.
     @property
     def shape(self) -> Tuple[int, ...]:
-        if self._data is None:
-            return self._lazy.shape
         return self._data.shape
 
     @property
@@ -242,8 +191,6 @@ class Tensor:
 
     @property
     def dtype(self):
-        if self._data is None:
-            return self._lazy.dtype
         return self._data.dtype
 
     @property
@@ -272,8 +219,6 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def clone(self) -> "Tensor":
-        # cloning a lazy tensor records a node rather than realizing the
-        # source graph; the backward closure (grad path only) is unchanged
         out = self._make_ew("clone", (self,))
         if out.requires_grad:
 
@@ -284,15 +229,8 @@ class Tensor:
         return out
 
     def contiguous(self) -> "Tensor":
-        """Return a C-contiguous tensor (``self`` when already contiguous).
-
-        An unrealized lazy tensor is returned as-is: realization writes into
-        freshly allocated (contiguous) buffers, so forcing it here would only
-        break fusion.
-        """
-        if self._data is None or self._data.flags["C_CONTIGUOUS"]:
-            if _lazy.lazy_enabled():
-                _lazy.STATS.buffers_elided += 1
+        """Return a C-contiguous tensor (``self`` when already contiguous)."""
+        if self._data.flags["C_CONTIGUOUS"]:
             return self
         out = self._make(np.ascontiguousarray(self.data), (self,), "contiguous")
         if out.requires_grad:
@@ -321,23 +259,9 @@ class Tensor:
         return out
 
     def _make_ew(self, op: str, parents: Tuple["Tensor", ...], **params) -> "Tensor":
-        """Build an elementwise op result: a lazy node for gradient-free
-        inputs (when the engine is enabled), else an eagerly computed tensor.
-
-        Gradient-tracking ops always realize at record time: the ``_backward``
-        closure the caller attaches is the realization-time product, so the
-        autograd tape is exactly the eager engine's.  Both paths run the same
-        kernels (:data:`repro.nn.lazy.ELEMENTWISE_OPS`) — bit-identical.
-        """
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        if not requires and _lazy.lazy_enabled():
-            return _from_lazy(_lazy.record(op, parents, params), op)
-        data = _lazy.compute_eager(op, [p.data for p in parents], params)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._prev = parents
-            out._op = op
-        return out
+        """Build the result of the elementwise kernel ``op`` over ``parents``."""
+        return self._make(_elementwise(op, [p._data for p in parents], params),
+                          parents, op)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
@@ -600,7 +524,7 @@ class Tensor:
         if out.requires_grad:
 
             def _backward():
-                self._accumulate(out.grad * _lazy.compute_eager("sigmoid", [self.data]))
+                self._accumulate(out.grad * _elementwise("sigmoid", [self.data]))
 
             out._backward = _backward
         return out
@@ -611,7 +535,7 @@ class Tensor:
 
             def _backward():
                 self._accumulate(out.grad * 2.0 / math.sqrt(math.pi)
-                                 * _lazy.compute_eager("exp", [-self.data ** 2]))
+                                 * _elementwise("exp", [-self.data ** 2]))
 
             out._backward = _backward
         return out
@@ -621,7 +545,7 @@ class Tensor:
         if out.requires_grad:
 
             def _backward():
-                self._accumulate(out.grad * _lazy.compute_eager("cos", [self.data]))
+                self._accumulate(out.grad * _elementwise("cos", [self.data]))
 
             out._backward = _backward
         return out
@@ -631,7 +555,7 @@ class Tensor:
         if out.requires_grad:
 
             def _backward():
-                self._accumulate(-out.grad * _lazy.compute_eager("sin", [self.data]))
+                self._accumulate(-out.grad * _elementwise("sin", [self.data]))
 
             out._backward = _backward
         return out
@@ -760,17 +684,8 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        new_shape = _resolve_reshape(self.shape, tuple(int(s) for s in shape))
-        if new_shape == self.shape and _lazy.lazy_enabled():
-            # identity reshape: gradient flow and values are unchanged, so
-            # the movement op is elided entirely
-            _lazy.STATS.buffers_elided += 1
-            return self
-        requires = is_grad_enabled() and self.requires_grad
-        if not requires and _lazy.lazy_enabled():
-            return _from_lazy(_lazy.record("reshape", (self,), {"shape": new_shape}),
-                              "reshape")
-        out = self._make(self.data.reshape(new_shape), (self,), "reshape")
+        out = self._make(self.data.reshape(tuple(int(s) for s in shape)), (self,),
+                         "reshape")
         if out.requires_grad:
             in_shape = self.shape
 
@@ -787,7 +702,6 @@ class Tensor:
         return self.reshape(*shape)
 
     def squeeze(self, axis: Optional[int] = None) -> "Tensor":
-        # shape-only (no realization): squeezing is a pure movement op
         shape = self.shape
         if axis is None:
             new_shape = tuple(s for s in shape if s != 1)
@@ -821,24 +735,6 @@ class Tensor:
             axes_ = tuple(axes_)
         else:
             axes_ = tuple(axes)
-        if _lazy.lazy_enabled():
-            ndim = self.ndim
-            identity = tuple(range(ndim))
-            norm = (identity[::-1] if axes_ is None
-                    else tuple(a % ndim for a in axes_))
-            if norm == identity:
-                _lazy.STATS.buffers_elided += 1
-                return self
-            if self._lazy is not None and self._lazy.op == "transpose":
-                # inverse transpose pair: composing the permutations yields
-                # the identity, so both movement ops are elided
-                prev_axes = self._lazy.params["axes"]
-                if tuple(prev_axes[a] for a in norm) == identity:
-                    _lazy.STATS.buffers_elided += 1
-                    return self._lazy.parents[0]
-            if not (is_grad_enabled() and self.requires_grad):
-                return _from_lazy(_lazy.record("transpose", (self,), {"axes": norm}),
-                                  "transpose")
         out = self._make(np.transpose(self.data, axes_), (self,), "transpose")
         if out.requires_grad:
 

@@ -7,8 +7,6 @@ variational parameters in the global parameter store.  The TyXe-style guide
 the BNN-specific conveniences described in the paper (pretrained-mean
 initialization, frozen means, clipped scales).
 """
-# repro: noqa[R003] -- guide setup runs once per inference, not per step;
-# eager materialization of init values here is deliberate.
 
 from __future__ import annotations
 

@@ -69,16 +69,6 @@ def test_run_no_artifact_flag(tmp_path):
     assert not (tmp_path / "fig1-regression.json").exists()
 
 
-def test_run_verbose_prints_lazy_graph_stats(capsys):
-    argv = ["run", "fig1-regression", "--fast", "--no-artifact",
-            "--verbose"] + CHEAP_RUNS["fig1-regression"]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert "lazy graph:" in out
-    assert "ops recorded" in out
-    assert "realizations" in out
-
-
 def test_unknown_experiment_id_exits_2(capsys):
     assert main(["run", "fig9-unknown"]) == 2
     assert "fig9-unknown" in capsys.readouterr().err

@@ -16,7 +16,7 @@ import pytest
 from scipy import special
 
 from repro import nn
-from repro.nn import backends, functional as F, lazy
+from repro.nn import backends, functional as F
 from repro.nn.backends import Backend, NumpyBackend, backend_mode, get_backend
 from repro.nn.tensor import Tensor
 
@@ -103,7 +103,7 @@ class TestRegistry:
     def test_incomplete_backend_rejected_on_activation(self, monkeypatch):
         class Hollow(Backend):
             name = "hollow"
-            elementwise = {"add": lambda srcs, params, out=None: srcs[0]}
+            elementwise = {"add": lambda srcs, params: srcs[0]}
 
         before = get_backend()
         monkeypatch.setitem(backends._FACTORIES, "hollow", Hollow)
@@ -185,10 +185,10 @@ _PARAM_EXPECT = {"pow": lambda a: np.power(a, 2.5),
 
 class TestElementwiseConformance:
     def test_table_mirrors_elementwise_ops(self, any_backend):
-        assert set(any_backend.elementwise) >= set(lazy.ELEMENTWISE_OPS)
+        assert set(any_backend.elementwise) >= set(NumpyBackend.elementwise)
 
     def test_cases_cover_the_whole_table(self):
-        assert set(ELEMENTWISE_CASES) == set(lazy.ELEMENTWISE_OPS)
+        assert set(ELEMENTWISE_CASES) == set(NumpyBackend.elementwise)
 
     @pytest.mark.parametrize("op", sorted(ELEMENTWISE_CASES))
     def test_kernel_matches_reference(self, any_backend, op, rng):
@@ -198,18 +198,6 @@ class TestElementwiseConformance:
         expected = (_PARAM_EXPECT[op] if expect is None else expect)(*srcs)
         actual = any_backend.elementwise[op](srcs, params)
         _check(actual, expected)
-
-    @pytest.mark.parametrize("op", sorted(ELEMENTWISE_CASES))
-    def test_out_contract_writes_in_place(self, any_backend, op, rng):
-        """The fusion pass hands kernels a dead buffer; they must fill it."""
-        build, expect = ELEMENTWISE_CASES[op]
-        srcs = build(rng)
-        params = _PARAMS.get(op, {})
-        expected = (_PARAM_EXPECT[op] if expect is None else expect)(*srcs)
-        out = np.empty(expected.shape, dtype=expected.dtype)
-        result = any_backend.elementwise[op](srcs, params, out=out)
-        assert result is out
-        _check(out, expected)
 
 
 # ----------------------------------------------------------- kernel entries
@@ -302,16 +290,6 @@ class TestTensorIntegration:
         with backend_mode("numpy"):
             expected = F.max_pool2d(F.conv2d(x, w, bias, stride=1), 2)
         _check(out.numpy(), expected.numpy())
-
-    def test_lazy_and_eager_agree_per_backend(self, any_backend, rng):
-        """The fusion scheduler and compute_eager run the same kernels."""
-        data = rng.normal(size=257)
-        x = nn.tensor(data)
-        with lazy.lazy_mode(True):
-            fused = ((x * 1.5).relu() + 0.25).sqrt().numpy()
-        with lazy.lazy_mode(False):
-            eager = ((x * 1.5).relu() + 0.25).sqrt().numpy()
-        np.testing.assert_array_equal(fused, eager)
 
 
 # ------------------------------------------- autograd byte-identity (reference)
