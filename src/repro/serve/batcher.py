@@ -4,20 +4,23 @@ Concurrent ``predict`` requests are coalesced into a single
 ``vectorized_forward`` call — stacked inputs × stacked posterior samples —
 amortizing Python/graph overhead across every request in the window.  A
 batch flushes when it reaches ``max_batch`` input rows or when the oldest
-pending request has waited ``max_wait_ms``, whichever comes first.  Each
-request gets its own slice of the raw ``(S, N, ...)`` output, so coalesced
-responses are bit-identical to serial per-request predictions: the forward
-and every statistic reduce row-wise.
+pending request has waited ``max_wait_ms``, whichever comes first.  The
+response statistics are computed once per batch too, with one coverage per
+row, and each request gets its own copy of its rows.  Coalesced responses
+are bit-identical to serial per-request predictions, because the engine runs
+both the forward and the statistics on fixed-shape ``block_rows`` blocks.
 
-The numpy forward runs in a thread-pool executor (BLAS releases the GIL),
-so the event loop keeps accepting requests while a batch computes.
+The forward and the statistics run in a thread-pool executor (BLAS releases
+the GIL), so the event loop keeps accepting requests while a batch computes.
+Requests whose rows have a different shape are forwarded separately, so a
+malformed request fails alone.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -83,6 +86,7 @@ class MicroBatcher:
         self._pending_rows = 0
         self._timer: Optional[asyncio.TimerHandle] = None
         self._closed = False
+        self._batches: Set[asyncio.Task] = set()  # the loop holds tasks weakly
 
     # ----------------------------------------------------------------- submit
     async def submit(self, inputs, coverage: float = DEFAULT_COVERAGE
@@ -95,6 +99,9 @@ class MicroBatcher:
             raise ValueError(
                 f"inputs must be a non-empty batch (rows on axis 0), got "
                 f"shape {inputs.shape}")
+        coverage = float(coverage)
+        if not 0.0 < coverage < 1.0:
+            raise ValueError(f"coverage must be in (0, 1), got {coverage}")
         self.counters.requests += 1
         self.counters.rows += inputs.shape[0]
         cache_key = None
@@ -105,7 +112,7 @@ class MicroBatcher:
             if cached is not None:
                 return cached
         loop = asyncio.get_running_loop()
-        unit = _Unit(inputs=inputs, coverage=float(coverage),
+        unit = _Unit(inputs=inputs, coverage=coverage,
                      future=loop.create_future(), cache_key=cache_key)
         self._pending.append(unit)
         self._pending_rows += inputs.shape[0]
@@ -118,12 +125,15 @@ class MicroBatcher:
         return await unit.future
 
     async def close(self) -> None:
-        """Flush anything pending and refuse further submissions."""
+        """Flush anything pending, wait for batches in flight, and refuse
+        further submissions."""
         self._closed = True
         if self._pending:
             loop = asyncio.get_running_loop()
             units = self._detach_pending()
             await self._run_batch(loop, units)
+        if self._batches:
+            await asyncio.gather(*self._batches)
 
     # ------------------------------------------------------------------ flush
     def _on_timer(self, loop: asyncio.AbstractEventLoop) -> None:
@@ -135,7 +145,9 @@ class MicroBatcher:
     def _flush_now(self, loop: asyncio.AbstractEventLoop) -> None:
         units = self._detach_pending()
         if units:
-            loop.create_task(self._run_batch(loop, units))
+            task = loop.create_task(self._run_batch(loop, units))
+            self._batches.add(task)
+            task.add_done_callback(self._batches.discard)
 
     def _detach_pending(self) -> List[_Unit]:
         units, self._pending = self._pending, []
@@ -147,32 +159,51 @@ class MicroBatcher:
 
     async def _run_batch(self, loop: asyncio.AbstractEventLoop,
                          units: List[_Unit]) -> None:
-        """One stacked forward for every unit, then per-unit slicing/stats."""
-        batch = (units[0].inputs if len(units) == 1 else
-                 np.concatenate([unit.inputs for unit in units], axis=0))
-        self.counters.batches += 1
-        self.counters.batched_rows += batch.shape[0]
-        self.counters.max_batch_rows = max(self.counters.max_batch_rows,
-                                           batch.shape[0])
+        """One forward and one statistics call per row shape in the batch."""
+        groups: Dict[tuple, List[_Unit]] = {}
+        for unit in units:
+            groups.setdefault(unit.inputs.shape[1:], []).append(unit)
+        for group in groups.values():
+            await self._run_group(loop, group)
+
+    async def _run_group(self, loop: asyncio.AbstractEventLoop,
+                         units: List[_Unit]) -> None:
         try:
-            raw = await loop.run_in_executor(self._executor,
-                                             self.engine.predict_stacked, batch)
+            rows = [unit.inputs.shape[0] for unit in units]
+            batch = (units[0].inputs if len(units) == 1 else
+                     np.concatenate([unit.inputs for unit in units], axis=0))
+            coverages = np.repeat([unit.coverage for unit in units], rows)
+            self.counters.batches += 1
+            self.counters.batched_rows += batch.shape[0]
+            self.counters.max_batch_rows = max(self.counters.max_batch_rows,
+                                               batch.shape[0])
+            stats = await loop.run_in_executor(self._executor, self._compute,
+                                               batch, coverages)
         except Exception as exc:  # propagate to every awaiting request
             for unit in units:
                 if not unit.future.done():
                     unit.future.set_exception(exc)
             return
         offset = 0
-        for unit in units:
-            rows = unit.inputs.shape[0]
-            response = self.engine.stats(raw[:, offset:offset + rows],
-                                         unit.coverage)
-            offset += rows
+        for unit, n in zip(units, rows):
+            part = slice(offset, offset + n)
+            offset += n
+            response = PredictResponse(
+                mean=stats.mean[part].copy(), std=stats.std[part].copy(),
+                lo=stats.lo[part].copy(), hi=stats.hi[part].copy(),
+                coverage=unit.coverage)
             if self.cache is not None and unit.cache_key is not None:
                 self.cache.put(unit.cache_key, response,
                                response_nbytes(response))
             if not unit.future.done():
                 unit.future.set_result(response)
+
+    def _compute(self, batch: np.ndarray, coverages: np.ndarray
+                 ) -> PredictResponse:
+        """Executor body: the batch's forward, then its statistics.  Both go
+        through the engine's attributes, so wrappers installed on them see
+        one call each per batch."""
+        return self.engine.stats(self.engine.predict_stacked(batch), coverages)
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, Any]:

@@ -6,16 +6,23 @@ substituted into one batched ``vectorized_forward`` per call (stacked inputs
 × stacked samples), and per-request uncertainty — mean, predictive standard
 deviation and a calibrated central interval — is derived from the
 likelihood's predictive distribution.  No randomness is consumed anywhere on
-this path, so the same inputs always produce byte-identical responses, and a
-coalesced batch is byte-identical to per-request serial calls: every
-statistic reduces over the sample axis row by row.
+this path, so the same inputs always produce byte-identical responses.
+
+Both the forward and the statistics run on fixed-shape blocks of
+``block_rows`` rows (zero-padded, C-contiguous), so a row's bits do not
+depend on how many requests shared its batch: a coalesced batch, whose
+statistics are computed in one call, is byte-identical to per-request serial
+calls.  The engine owns read-only copies of the weight stacks it serves and
+hashes them once, at bind time, into ``snapshot_id``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Union
 
 import numpy as np
 from scipy import special as _sp_special
@@ -32,13 +39,19 @@ DEFAULT_COVERAGE = 0.9
 
 @dataclass
 class PredictResponse:
-    """Per-request uncertainty summary (arrays are per input row)."""
+    """Per-request uncertainty summary (arrays are per input row).
+
+    ``coverage`` is a float, except in the statistics of a whole coalesced
+    batch (:meth:`PredictionEngine.stats` with per-row coverages), where it
+    is that ``(n,)`` array; the batcher slices such a batch into per-request
+    responses before anyone serializes it.
+    """
 
     mean: np.ndarray
     std: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    coverage: float
+    coverage: Union[float, np.ndarray]
 
     def to_payload(self) -> List[dict]:
         """One JSON-ready record per input row of the request."""
@@ -49,11 +62,25 @@ class PredictResponse:
                 for i in range(self.mean.shape[0])]
 
 
-def _z_score(coverage: float) -> float:
-    """Standard-normal quantile for a central interval of ``coverage`` mass."""
-    if not 0.0 < coverage < 1.0:
+def _z_scores(coverage):
+    """Standard-normal quantiles for central intervals of ``coverage`` mass:
+    a float for a float, one per row (a single ``ndtri`` call) for an array.
+    Both give the same bits for the same coverage."""
+    if isinstance(coverage, (int, float)):
+        if not 0.0 < coverage < 1.0:
+            raise ValueError(f"coverage must be in (0, 1), got {coverage}")
+        return float(_sp_special.ndtri(0.5 + coverage / 2.0))
+    coverage = np.asarray(coverage, dtype=np.float64)
+    if not ((coverage > 0.0) & (coverage < 1.0)).all():
         raise ValueError(f"coverage must be in (0, 1), got {coverage}")
-    return float(_sp_special.ndtri(0.5 + coverage / 2.0))
+    return _sp_special.ndtri(0.5 + coverage / 2.0)
+
+
+def _owned(array) -> np.ndarray:
+    """A read-only private copy of ``array``."""
+    array = np.array(array, copy=True)
+    array.flags.writeable = False
+    return array
 
 
 class PredictionEngine:
@@ -65,9 +92,10 @@ class PredictionEngine:
     kernel selection — and with it ULP-level rounding — depends on the
     operand shapes, so without a constant row count the same input row
     yields different last-bit results in a 1-row versus a 32-row batch.
-    With it, per-row outputs are independent of how many requests share the
-    batch, which is what makes coalesced micro-batching bit-identical to
-    serial per-request prediction.
+    :meth:`stats` reduces over the same block shape.  With it, per-row
+    outputs are independent of how many requests share the batch, which is
+    what makes coalesced micro-batching bit-identical to serial per-request
+    prediction.
 
     Forwards are serialized by an internal lock: ``vectorized_forward``
     substitutes the weight stacks into the one shared network instance for
@@ -95,14 +123,23 @@ class PredictionEngine:
                 f"missing {missing or 'none'}, unexpected {extra or 'none'}")
         if block_rows < 1:
             raise ValueError(f"block_rows must be >= 1, got {block_rows}")
+        # Private read-only copies: a later in-place write to the caller's
+        # snapshot can change neither the predictions nor the id they are
+        # cached under, so the id is hashed once, from what is bound.
+        self.snapshot = dataclasses.replace(
+            snapshot,
+            sites=OrderedDict((name, _owned(array))
+                              for name, array in snapshot.sites.items()),
+            deterministic=OrderedDict((name, _owned(array))
+                                      for name, array in snapshot.deterministic.items()))
+        self.snapshot_id: str = self.snapshot.snapshot_id
         self.bnn = bnn
-        self.snapshot = snapshot
         self.block_rows = int(block_rows)
         self._forward_lock = threading.Lock()
-        bnn.load_deterministic_state(snapshot.deterministic)
+        bnn.load_deterministic_state(self.snapshot.deterministic)
         bnn.net.train(False)  # serving is eval-mode: no dropout, frozen moments
         self._samples: Dict[str, Tensor] = {
-            name: Tensor(np.asarray(array)) for name, array in snapshot.sites.items()}
+            name: Tensor(array) for name, array in self.snapshot.sites.items()}
 
     @classmethod
     def from_snapshot(cls, snapshot: Snapshot,
@@ -114,10 +151,6 @@ class PredictionEngine:
             snapshot.experiment_id,
             config=None if snapshot.config is None else _rebuild_config(snapshot))
         return cls(target.build(), snapshot, block_rows=block_rows)
-
-    @property
-    def snapshot_id(self) -> str:
-        return self.snapshot.snapshot_id
 
     @property
     def num_samples(self) -> int:
@@ -150,19 +183,59 @@ class PredictionEngine:
             chunks.append(np.asarray(raw.data)[:, :rows])
         return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
 
-    def stats(self, raw: np.ndarray, coverage: float = DEFAULT_COVERAGE
+    def stats(self, raw: np.ndarray,
+              coverage: Union[float, np.ndarray] = DEFAULT_COVERAGE
               ) -> PredictResponse:
         """Mean / predictive std / calibrated central interval from ``raw``.
 
-        ``raw`` is a ``(S, n, ...)`` slice of :meth:`predict_stacked` output.
-        The mean and standard deviation come from the likelihood's predictive
-        distribution where it defines them (total predictive std — epistemic
-        + observation noise — for homoskedastic Gaussians, mean class
-        probabilities for classifiers); the interval is the Gaussian central
-        interval ``mean ± z(coverage) * std``, the calibrated-coverage
-        summary the calibration metrics of the paper evaluate.
+        ``raw`` is ``(S, n, ...)`` :meth:`predict_stacked` output; ``coverage``
+        is one float for every row or an ``(n,)`` array of per-row coverages
+        (a coalesced batch).  The mean and standard deviation come from the
+        likelihood's predictive distribution where it defines them (total
+        predictive std — epistemic + observation noise — for homoskedastic
+        Gaussians, mean class probabilities for classifiers); the interval is
+        the Gaussian central interval ``mean ± z(coverage) * std``, the
+        calibrated-coverage summary the calibration metrics of the paper
+        evaluate.
+
+        The reductions run on C-contiguous ``(S, block_rows, ...)`` blocks,
+        the last one zero-padded — the forward's shape.  numpy sums the
+        sample axis in a layout-dependent order, so a row's statistics are
+        only bit-stable if every row is reduced inside the same block shape.
         """
-        stacked = Tensor(np.asarray(raw))
+        raw = np.asarray(raw)
+        z = _z_scores(coverage)
+        block = self.block_rows
+        rows = raw.shape[1]
+        means, stds = [], []
+        for start in range(0, rows, block):
+            chunk = raw[:, start:start + block]
+            n = chunk.shape[1]
+            if n < block:
+                padded = np.zeros((chunk.shape[0], block) + chunk.shape[2:],
+                                  dtype=chunk.dtype)
+                padded[:, :n] = chunk
+                chunk = padded
+            else:
+                chunk = np.ascontiguousarray(chunk)
+            mean, std = self._moments(chunk)
+            means.append(mean[:n])
+            stds.append(std[:n])
+        if len(means) == 1:
+            mean, std = means[0], stds[0]
+        else:
+            mean, std = np.concatenate(means), np.concatenate(stds)
+        if isinstance(z, np.ndarray):
+            z = z.reshape(z.shape + (1,) * (mean.ndim - 1))
+            coverage = np.asarray(coverage, dtype=np.float64)
+        else:
+            coverage = float(coverage)
+        return PredictResponse(mean=mean, std=std, lo=mean - z * std,
+                               hi=mean + z * std, coverage=coverage)
+
+    def _moments(self, block: np.ndarray):
+        """Per-row predictive mean and std of one ``(S, block_rows, ...)`` block."""
+        stacked = Tensor(block)
         likelihood = self.bnn.likelihood
         if isinstance(likelihood, likelihoods.HomoskedasticGaussian):
             mean = np.asarray(likelihood.aggregate_predictions(stacked).data)
@@ -172,12 +245,9 @@ class PredictionEngine:
             mean = probs.mean(axis=0)
             std = probs.std(axis=0)
         else:
-            data = np.asarray(stacked.data)
-            mean = data.mean(axis=0)
-            std = data.std(axis=0)
-        z = _z_score(coverage)
-        return PredictResponse(mean=mean, std=std, lo=mean - z * std,
-                               hi=mean + z * std, coverage=float(coverage))
+            mean = block.mean(axis=0)
+            std = block.std(axis=0)
+        return mean, std
 
     def predict(self, inputs: np.ndarray, coverage: float = DEFAULT_COVERAGE
                 ) -> PredictResponse:

@@ -5,7 +5,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.serve import ByteLRUCache, MicroBatcher
+from repro.serve import ByteLRUCache, MicroBatcher, PredictionEngine, create_snapshot
 
 
 def _assert_bit_identical(left, right):
@@ -62,6 +62,74 @@ class TestBitIdentity:
         assert narrow.mean.tobytes() == wide.mean.tobytes()
 
 
+    def test_one_batch_of_mixed_requests_matches_serial_at_s32(
+            self, tiny_overrides):
+        """One coalesced batch of 54 rows over two 32-row blocks, with every
+        block position filled, mixed coverages and a 4-row request across
+        the block boundary, matches serial ``predict`` byte for byte."""
+        snapshot = create_snapshot("fig1-regression", fast=True,
+                                   overrides=tiny_overrides, num_samples=32,
+                                   trained=False)
+        engine = PredictionEngine.from_snapshot(snapshot, block_rows=32)
+        rows = np.linspace(-2.0, 2.0, 54).reshape(-1, 1)
+        requests = ([rows[i:i + 1] for i in range(30)] + [rows[30:34]]
+                    + [rows[i:i + 1] for i in range(34, 54)])
+        coverages = [(0.5, 0.9, 0.95)[i % 3] for i in range(len(requests))]
+
+        async def coalesced():
+            batcher = MicroBatcher(engine, max_batch=64, max_wait_ms=50.0)
+            responses = await asyncio.gather(
+                *[batcher.submit(x, c) for x, c in zip(requests, coverages)])
+            await batcher.close()
+            return responses, batcher
+
+        responses, batcher = asyncio.run(coalesced())
+        assert batcher.counters.batches == 1
+        assert batcher.counters.batched_rows == 54
+        for x, coverage, response in zip(requests, coverages, responses):
+            assert response.coverage == coverage
+            _assert_bit_identical(response, engine.predict(x, coverage))
+            for array in (response.mean, response.std, response.lo, response.hi):
+                assert array.base is None  # owned, so cache byte counts hold
+
+
+class TestFailureIsolation:
+    """A bad request fails alone; its batchmates are still answered."""
+
+    @staticmethod
+    def _settle(batcher, submissions):
+        async def go():
+            results = await asyncio.wait_for(
+                asyncio.gather(*submissions(), return_exceptions=True),
+                timeout=10.0)
+            await batcher.close()
+            return results
+        return asyncio.run(go())
+
+    def test_mismatched_row_width_fails_alone(self, fig1_engine, request_rows):
+        batcher = MicroBatcher(fig1_engine, max_batch=64, max_wait_ms=1.0)
+        good, bad, other = self._settle(batcher, lambda: (
+            batcher.submit(request_rows[:1]),
+            batcher.submit(np.zeros((1, 3))),
+            batcher.submit(request_rows[1:3])))
+        assert isinstance(bad, Exception)
+        _assert_bit_identical(good, fig1_engine.predict(request_rows[:1]))
+        _assert_bit_identical(other, fig1_engine.predict(request_rows[1:3]))
+        assert batcher.counters.batches == 2  # one forward per row shape
+
+    def test_out_of_range_coverage_rejected_before_enqueue(
+            self, fig1_engine, request_rows):
+        batcher = MicroBatcher(fig1_engine, max_batch=64, max_wait_ms=1.0)
+        good, bad, other = self._settle(batcher, lambda: (
+            batcher.submit(request_rows[:1]),
+            batcher.submit(request_rows[1:2], 1.5),
+            batcher.submit(request_rows[2:3], 0.5)))
+        assert isinstance(bad, ValueError) and "coverage" in str(bad)
+        _assert_bit_identical(good, fig1_engine.predict(request_rows[:1]))
+        _assert_bit_identical(other, fig1_engine.predict(request_rows[2:3], 0.5))
+        assert batcher.counters.batched_rows == 2
+
+
 class TestFlushTriggers:
     def test_size_flush_before_timer(self, fig1_engine, request_rows):
         async def go():
@@ -99,6 +167,16 @@ class TestFlushTriggers:
 
         response = asyncio.run(go())
         assert response.mean.shape == (1, 1)
+
+    def test_close_waits_for_batches_in_flight(self, fig1_engine, request_rows):
+        async def go():
+            batcher = MicroBatcher(fig1_engine, max_batch=1, max_wait_ms=1.0)
+            pending = asyncio.ensure_future(batcher.submit(request_rows[:1]))
+            await asyncio.sleep(0)  # the submit size-flushes into a batch task
+            await batcher.close()
+            return pending.done()
+
+        assert asyncio.run(go())
 
     def test_invalid_inputs_rejected(self, fig1_engine):
         async def go():

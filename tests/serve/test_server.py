@@ -129,6 +129,18 @@ class TestRoutes:
         assert "no route" in b404["error"]
 
 
+    def test_non_numeric_coverage_rejected(self, fig1_engine):
+        app = ServeApp(fig1_engine)
+
+        async def go():
+            return [await _http_roundtrip(
+                app, _post_predict({"inputs": [[0.0]], "coverage": bad}))
+                for bad in ("0.5", True, None)]
+
+        for status, body in asyncio.run(go()):
+            assert status == 400 and "coverage" in body["error"]
+
+
 class TestKeepAlive:
     def test_connection_reused_until_client_close(self, fig1_engine):
         """Several requests ride one connection; Connection: close ends it."""
