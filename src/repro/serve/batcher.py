@@ -99,7 +99,10 @@ class MicroBatcher:
             raise ValueError(
                 f"inputs must be a non-empty batch (rows on axis 0), got "
                 f"shape {inputs.shape}")
-        coverage = float(coverage)
+        try:
+            coverage = float(coverage)
+        except OverflowError:  # an int too large for a float
+            raise ValueError(f"coverage must be in (0, 1), got {coverage}")
         if not 0.0 < coverage < 1.0:
             raise ValueError(f"coverage must be in (0, 1), got {coverage}")
         self.counters.requests += 1

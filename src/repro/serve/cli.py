@@ -64,6 +64,7 @@ def run_serve(experiment_id: Optional[str], snapshot_path: str, *,
         message = exc.args[0] if exc.args else exc
         print(f"repro: serve: {message}", file=sys.stderr)
         return 1
+    del snapshot  # the engine serves its own copies of the weights
     run_server(engine, host=host, port=port, max_batch=max_batch,
                max_wait_ms=max_wait_ms, cache_bytes=cache_bytes)
     return 0

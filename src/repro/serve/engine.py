@@ -62,20 +62,6 @@ class PredictResponse:
                 for i in range(self.mean.shape[0])]
 
 
-def _z_scores(coverage):
-    """Standard-normal quantiles for central intervals of ``coverage`` mass:
-    a float for a float, one per row (a single ``ndtri`` call) for an array.
-    Both give the same bits for the same coverage."""
-    if isinstance(coverage, (int, float)):
-        if not 0.0 < coverage < 1.0:
-            raise ValueError(f"coverage must be in (0, 1), got {coverage}")
-        return float(_sp_special.ndtri(0.5 + coverage / 2.0))
-    coverage = np.asarray(coverage, dtype=np.float64)
-    if not ((coverage > 0.0) & (coverage < 1.0)).all():
-        raise ValueError(f"coverage must be in (0, 1), got {coverage}")
-    return _sp_special.ndtri(0.5 + coverage / 2.0)
-
-
 def _owned(array) -> np.ndarray:
     """A read-only private copy of ``array``."""
     array = np.array(array, copy=True)
@@ -169,14 +155,8 @@ class PredictionEngine:
             raise ValueError(
                 f"inputs must be a non-empty batch (rows on axis 0), got "
                 f"shape {inputs.shape}")
-        block = self.block_rows
         chunks = []
-        for start in range(0, inputs.shape[0], block):
-            chunk = inputs[start:start + block]
-            rows = chunk.shape[0]
-            if rows < block:
-                pad = np.zeros((block - rows,) + chunk.shape[1:], dtype=chunk.dtype)
-                chunk = np.concatenate([chunk, pad], axis=0)
+        for chunk, rows in self._blocks(inputs, axis=0):
             with self._forward_lock:
                 raw = self.bnn.predict_with_samples(Tensor(chunk), self._samples,
                                                     aggregate=False)
@@ -203,35 +183,39 @@ class PredictionEngine:
         sample axis in a layout-dependent order, so a row's statistics are
         only bit-stable if every row is reduced inside the same block shape.
         """
-        raw = np.asarray(raw)
-        z = _z_scores(coverage)
-        block = self.block_rows
-        rows = raw.shape[1]
+        cov = np.asarray(coverage, dtype=np.float64)
+        if not ((cov > 0.0) & (cov < 1.0)).all():
+            raise ValueError(f"coverage must be in (0, 1), got {coverage}")
         means, stds = [], []
-        for start in range(0, rows, block):
-            chunk = raw[:, start:start + block]
-            n = chunk.shape[1]
-            if n < block:
-                padded = np.zeros((chunk.shape[0], block) + chunk.shape[2:],
-                                  dtype=chunk.dtype)
-                padded[:, :n] = chunk
-                chunk = padded
-            else:
-                chunk = np.ascontiguousarray(chunk)
+        for chunk, rows in self._blocks(np.asarray(raw), axis=1):
             mean, std = self._moments(chunk)
-            means.append(mean[:n])
-            stds.append(std[:n])
+            means.append(mean[:rows])
+            stds.append(std[:rows])
         if len(means) == 1:
             mean, std = means[0], stds[0]
         else:
             mean, std = np.concatenate(means), np.concatenate(stds)
-        if isinstance(z, np.ndarray):
-            z = z.reshape(z.shape + (1,) * (mean.ndim - 1))
-            coverage = np.asarray(coverage, dtype=np.float64)
-        else:
-            coverage = float(coverage)
+        z = _sp_special.ndtri(0.5 + cov / 2.0)
+        z = np.reshape(z, cov.shape + (1,) * (mean.ndim - 1))
         return PredictResponse(mean=mean, std=std, lo=mean - z * std,
-                               hi=mean + z * std, coverage=coverage)
+                               hi=mean + z * std,
+                               coverage=float(cov) if cov.ndim == 0 else cov)
+
+    def _blocks(self, array: np.ndarray, axis: int):
+        """Yield ``(block, rows)``: C-contiguous slices of ``array`` exactly
+        ``block_rows`` long on ``axis`` (the last one zero-padded), with the
+        number of real rows in each."""
+        block = self.block_rows
+        lead = (slice(None),) * axis
+        for start in range(0, array.shape[axis], block):
+            chunk = array[lead + (slice(start, start + block),)]
+            rows = chunk.shape[axis]
+            if rows < block:
+                shape = chunk.shape[:axis] + (block,) + chunk.shape[axis + 1:]
+                padded = np.zeros(shape, dtype=chunk.dtype)
+                padded[lead + (slice(0, rows),)] = chunk
+                chunk = padded
+            yield np.ascontiguousarray(chunk), rows
 
     def _moments(self, block: np.ndarray):
         """Per-row predictive mean and std of one ``(S, block_rows, ...)`` block."""

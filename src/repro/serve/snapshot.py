@@ -95,7 +95,7 @@ class Snapshot:
         for group, arrays in (("site", self.sites), ("det", self.deterministic)):
             for name, array in arrays.items():
                 digest.update(f"{group}.{name}:{array.dtype}:{array.shape}".encode())
-                digest.update(np.ascontiguousarray(array).tobytes())
+                digest.update(np.ascontiguousarray(array))  # no bytes copy
         return digest.hexdigest()
 
     # ------------------------------------------------------------------- disk

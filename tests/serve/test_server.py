@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from repro.experiments.api.cli import main
 from repro.serve.cli import run_serve
 from repro.serve.client import HTTPClient
+from repro.serve.snapshot import load_snapshot
 from repro.serve.server import ServeApp
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -135,7 +137,7 @@ class TestRoutes:
         async def go():
             return [await _http_roundtrip(
                 app, _post_predict({"inputs": [[0.0]], "coverage": bad}))
-                for bad in ("0.5", True, None)]
+                for bad in ("0.5", True, None, 10 ** 400)]
 
         for status, body in asyncio.run(go()):
             assert status == 400 and "coverage" in body["error"]
@@ -219,6 +221,25 @@ class TestCLI:
 
     def test_serve_rejects_missing_snapshot(self, tmp_path):
         assert run_serve(None, str(tmp_path / "missing")) == 1
+
+    def test_serve_drops_loaded_snapshot_before_serving(self, fig1_snapshot_dir,
+                                                        monkeypatch):
+        """The engine serves its own copies of the weights, so `repro serve`
+        must not keep the loaded snapshot alive while it serves."""
+        from repro.serve import cli, server
+
+        loaded, alive_while_serving = [], []
+
+        def load(path):
+            snapshot = load_snapshot(path)
+            loaded.append(weakref.ref(snapshot))
+            return snapshot
+
+        monkeypatch.setattr(cli, "load_snapshot", load)
+        monkeypatch.setattr(server, "run_server", lambda engine, **_:
+                            alive_while_serving.append(loaded[0]() is not None))
+        assert run_serve(None, str(fig1_snapshot_dir)) == 0
+        assert alive_while_serving == [False]
 
     def test_serve_smoke_spawn_predict_shutdown(self, fig1_snapshot_dir,
                                                 fig1_engine):
